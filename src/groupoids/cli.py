@@ -24,7 +24,6 @@ from .construct import (
     single_unit_group_groupoid,
 )
 from .core import (
-    FiniteGroupoid,
     isotropy_group,
     structure_identities,
     validate_groupoid,
@@ -149,12 +148,10 @@ def _cmd_check(args) -> int:
     return _finish(check_group_groupoid(sf.structure, mode=args.mode), args.format)
 
 
-def _gate(gg: GroupGroupoid) -> ValidationReport | None:
-    """Structural+compatibility gate; the failing report when there is one."""
-    report = check_group_groupoid(gg, mode="def32")
-    if not report.valid:
-        return report
-    return None
+def _finish_gated(gg: GroupGroupoid, fmt: str, check) -> int:
+    """Print check(gg), or the failing def32 report when gg is not a valid group-groupoid."""
+    gate = check_group_groupoid(gg, mode="def32")
+    return _finish(check(gg) if gate.valid else gate, fmt)
 
 
 def _cmd_identities(args) -> int:
@@ -165,19 +162,13 @@ def _cmd_identities(args) -> int:
         if not base_report.valid:
             return _finish(base_report, args.format)
         return _finish(structure_identities(sf.structure), args.format)
-    bad = _gate(sf.structure)
-    if bad is not None:
-        return _finish(bad, args.format)
-    return _finish(check_derived_identities(sf.structure), args.format)
+    return _finish_gated(sf.structure, args.format, check_derived_identities)
 
 
 def _cmd_reconstruct(args) -> int:
     sf = load_structure_file(args.file)
     _want(sf, "group_groupoid")
-    bad = _gate(sf.structure)
-    if bad is not None:
-        return _finish(bad, args.format)
-    return _finish(reconstruct_from_group(sf.structure), args.format)
+    return _finish_gated(sf.structure, args.format, reconstruct_from_group)
 
 
 def _emit_out(structure, args) -> int:
@@ -271,13 +262,12 @@ def _cmd_morphism(args) -> int:
 def _cmd_anchor(args) -> int:
     sf = load_structure_file(args.file)
     _want(sf, "group_groupoid")
-    gg = sf.structure
-    bad = _gate(gg)
-    if bad is not None:
-        return _finish(bad, args.format)
-    m = anchor_morphism(gg)
-    target = group_pair_groupoid(gg.object_group)
-    return _finish(validate_gg_morphism(m, gg, target), args.format)
+
+    def anchor(gg: GroupGroupoid) -> ValidationReport:
+        anchor_morphism(gg)  # raises unless the anchor passes validate_gg_morphism
+        return ValidationReport()
+
+    return _finish_gated(sf.structure, args.format, anchor)
 
 
 def _cmd_affine_verify(args) -> int:
@@ -357,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", nargs="+", default=[])
     p.add_argument("--group", help="trivial | cyclic:N | symmetric:N, '*'-joined")
     p.add_argument("--output", help="write here instead of stdout")
-    _add_format(p)
     p.set_defaults(handler=_cmd_construct)
 
     p = subs.add_parser("sub", help="test a candidate substructure")

@@ -41,24 +41,16 @@ __all__ = [
 
 
 def _verified(g: FiniteGroupoid) -> FiniteGroupoid:
-    report = validate_groupoid(g)
-    if not report.valid:
-        first = report.violations[0]
-        raise InternalCheckFailed(
-            f"constructor produced an invalid groupoid: {first.rule} at "
-            f"{','.join(first.witness)}"
-        )
+    validate_groupoid(g).require(
+        InternalCheckFailed, "constructor produced an invalid groupoid"
+    )
     return g
 
 
 def _verified_gg(gg: GroupGroupoid) -> GroupGroupoid:
-    report = check_group_groupoid(gg, mode="both")
-    if not report.valid:
-        first = report.violations[0]
-        raise InternalCheckFailed(
-            f"constructor produced an invalid group-groupoid: {first.rule} at "
-            f"{','.join(first.witness)}"
-        )
+    check_group_groupoid(gg, mode="both").require(
+        InternalCheckFailed, "constructor produced an invalid group-groupoid"
+    )
     return gg
 
 
@@ -67,9 +59,7 @@ def _require_group(table: GroupTable) -> None:
         report = validate_group(table)
     except MalformedTable as exc:
         raise InvalidGroup(str(exc)) from exc
-    if not report.valid:
-        first = report.violations[0]
-        raise InvalidGroup(f"not a group: {first.rule} at {','.join(first.witness)}")
+    report.require(InvalidGroup, "not a group")
 
 
 def null_groupoid(objs: Iterable[str]) -> FiniteGroupoid:
@@ -259,10 +249,7 @@ def direct_product_group_groupoids(
         f0={pair_token(u, v): v for u in a.base.objects for v in b.base.objects},
     )
     for m, factor in ((left, a), (right, b)):
-        report = validate_gg_morphism(m, product, factor)
-        if not report.valid:
-            first = report.violations[0]
-            raise InternalCheckFailed(
-                f"projection is not a morphism: {first.rule} at {','.join(first.witness)}"
-            )
+        validate_gg_morphism(m, product, factor).require(
+            InternalCheckFailed, "projection is not a morphism"
+        )
     return product, left, right

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import FiniteGroupoid, Morphism
+from .core import FiniteGroupoid, Morphism, is_identifier
 from .grouptable import GroupTable
 from .overlay import GroupGroupoid
 from .report import GroupoidError, InvalidInput
@@ -105,7 +105,7 @@ class StructureFile:
 
 
 def _check_identifier(tok: str, line: int) -> str:
-    if not tok or any(c in tok for c in "=.") or "#" in tok or any(c.isspace() for c in tok):
+    if not is_identifier(tok):
         raise StructureSyntaxError(f"bad identifier {tok!r}", line)
     return tok
 
@@ -134,16 +134,20 @@ def _declarations(entries, what: str) -> list[str]:
     return out
 
 
-def _mapping(entries, keys: set[str], values: set[str] | None, what: str) -> dict[str, str]:
+def _mapping(
+    entries, keys: set[str] | None, values: set[str] | None, what: str
+) -> dict[str, str]:
+    """Parse key=value entries; a side without a declared set takes any identifier."""
     out: dict[str, str] = {}
     for lineno, tok in entries:
         if tok.count("=") != 1:
             raise StructureSyntaxError(f"expected 'key=value' in {what}, got {tok!r}", lineno)
         k, v = tok.split("=")
-        if k not in keys:
-            raise UnknownIdentifier(f"unknown identifier '{k}' in {what}", lineno)
-        if values is not None and v not in values:
-            raise UnknownIdentifier(f"unknown identifier '{v}' in {what}", lineno)
+        for part, declared in ((k, keys), (v, values)):
+            if declared is None:
+                _check_identifier(part, lineno)
+            elif part not in declared:
+                raise UnknownIdentifier(f"unknown identifier '{part}' in {what}", lineno)
         if k in out:
             raise DuplicateDeclaration(f"{what} entry for '{k}' given twice", lineno)
         out[k] = v
@@ -208,6 +212,16 @@ def parse_structure_file(text: str) -> StructureFile:
             raise StructureSyntaxError(f"section '{name}' is missing or empty", kind_line)
         return entries
 
+    def table(prefix: str, elements: set[str]) -> GroupTable:
+        return GroupTable(
+            elements=frozenset(elements),
+            op=_pair_mapping(need(prefix + "op"), elements, prefix + "op"),
+            identity=_check_identifier(
+                _single(sections.get(prefix + "id", []), kind_line, prefix + "id"), kind_line
+            ),
+            inverse=_mapping(need(prefix + "inv"), elements, elements, prefix + "inv"),
+        )
+
     if kind in ("groupoid", "group_groupoid"):
         objects = set(_declarations(need("objects"), "object"))
         arrows = set(_declarations(need("arrows"), "arrow"))
@@ -222,64 +236,25 @@ def parse_structure_file(text: str) -> StructureFile:
         )
         if kind == "groupoid":
             return StructureFile(kind, g)
-        arrow_group = GroupTable(
-            elements=frozenset(arrows),
-            op=_pair_mapping(need("arrow_group_op"), arrows, "arrow_group_op"),
-            identity=_check_identifier(
-                _single(sections.get("arrow_group_id", []), kind_line, "arrow_group_id"),
-                kind_line,
-            ),
-            inverse=_mapping(need("arrow_group_inv"), arrows, arrows, "arrow_group_inv"),
+        return StructureFile(
+            kind, GroupGroupoid(g, table("arrow_group_", arrows), table("object_group_", objects))
         )
-        object_group = GroupTable(
-            elements=frozenset(objects),
-            op=_pair_mapping(need("object_group_op"), objects, "object_group_op"),
-            identity=_check_identifier(
-                _single(sections.get("object_group_id", []), kind_line, "object_group_id"),
-                kind_line,
-            ),
-            inverse=_mapping(need("object_group_inv"), objects, objects, "object_group_inv"),
-        )
-        return StructureFile(kind, GroupGroupoid(g, arrow_group, object_group))
 
     if kind == "group":
-        elements = set(_declarations(need("elements"), "element"))
-        table = GroupTable(
-            elements=frozenset(elements),
-            op=_pair_mapping(need("op"), elements, "op"),
-            identity=_check_identifier(
-                _single(sections.get("id", []), kind_line, "id"), kind_line
-            ),
-            inverse=_mapping(need("inv"), elements, elements, "inv"),
-        )
-        return StructureFile(kind, table)
+        return StructureFile(kind, table("", set(_declarations(need("elements"), "element"))))
 
     # morphism: map entries cannot be resolved until the endpoints are loaded
     spec = MorphismSpec(
         from_path=_single(sections.get("from", []), kind_line, "from"),
         to_path=_single(sections.get("to", []), kind_line, "to"),
-        f=_raw_mapping(sections.get("f", []), "f"),
-        f0=_raw_mapping(sections.get("f0", []), "f0"),
+        f=_mapping(sections.get("f", []), None, None, "f"),
+        f0=_mapping(sections.get("f0", []), None, None, "f0"),
     )
     return StructureFile(kind, spec)
 
 
-def _raw_mapping(entries, what: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, tok in entries:
-        if tok.count("=") != 1:
-            raise StructureSyntaxError(f"expected 'key=value' in {what}, got {tok!r}", lineno)
-        k, v = tok.split("=")
-        _check_identifier(k, lineno)
-        _check_identifier(v, lineno)
-        if k in out:
-            raise DuplicateDeclaration(f"{what} entry for '{k}' given twice", lineno)
-        out[k] = v
-    return out
-
-
 def _emit_token(tok: str) -> str:
-    if not tok or any(c in tok for c in "=.#") or any(c.isspace() for c in tok):
+    if not is_identifier(tok):
         raise InvalidInput(f"identifier {tok!r} cannot be written to a structure file")
     return tok
 
@@ -319,6 +294,12 @@ def _emit_groupoid_sections(g: FiniteGroupoid) -> list[str]:
     return lines
 
 
+def _emit_table_sections(prefix: str, table: GroupTable) -> list[str]:
+    lines = _emit_pairs(prefix + "op", table.op)
+    lines.append(f"{prefix}id: {_emit_token(table.identity)}")
+    return lines + _emit_map(prefix + "inv", table.inverse)
+
+
 def emit_structure_file(
     structure, *, from_path: str | None = None, to_path: str | None = None
 ) -> str:
@@ -327,18 +308,12 @@ def emit_structure_file(
         lines = ["kind: groupoid"] + _emit_groupoid_sections(structure)
     elif isinstance(structure, GroupGroupoid):
         lines = ["kind: group_groupoid"] + _emit_groupoid_sections(structure.base)
-        lines += _emit_pairs("arrow_group_op", structure.arrow_group.op)
-        lines.append(f"arrow_group_id: {_emit_token(structure.arrow_group.identity)}")
-        lines += _emit_map("arrow_group_inv", structure.arrow_group.inverse)
-        lines += _emit_pairs("object_group_op", structure.object_group.op)
-        lines.append(f"object_group_id: {_emit_token(structure.object_group.identity)}")
-        lines += _emit_map("object_group_inv", structure.object_group.inverse)
+        lines += _emit_table_sections("arrow_group_", structure.arrow_group)
+        lines += _emit_table_sections("object_group_", structure.object_group)
     elif isinstance(structure, GroupTable):
         lines = ["kind: group"]
         lines += _wrap("elements", sorted(_emit_token(x) for x in structure.elements), 12)
-        lines += _emit_pairs("op", structure.op)
-        lines.append(f"id: {_emit_token(structure.identity)}")
-        lines += _emit_map("inv", structure.inverse)
+        lines += _emit_table_sections("", structure)
     elif isinstance(structure, (Morphism, MorphismSpec)):
         if isinstance(structure, Morphism):
             if from_path is None or to_path is None:

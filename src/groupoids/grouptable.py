@@ -22,6 +22,7 @@ __all__ = [
     "GroupTable",
     "pair_token",
     "check_table_wellformed",
+    "closure_report",
     "validate_group",
     "is_group_hom",
     "noncommuting_pair",
@@ -78,6 +79,16 @@ def check_table_wellformed(table: GroupTable) -> None:
         raise MalformedTable(f"inverse value '{dangling[0]}' is not a declared element")
 
 
+def closure_report(table: GroupTable) -> ValidationReport:
+    """One closure violation per product that is not a declared element."""
+    rb = ReportBuilder()
+    if not table.elements.issuperset(table.op.values()):
+        for (x, y), z in table.op.items():
+            if z not in table.elements:
+                rb.violation("closure", (x, y, z), "product is not a declared element")
+    return rb.build()
+
+
 def validate_group(table: GroupTable) -> ValidationReport:
     """Exhaustive group-axiom check: closure, associativity, identity and inverse laws."""
     check_table_wellformed(table)
@@ -85,9 +96,7 @@ def validate_group(table: GroupTable) -> ValidationReport:
     elems = sorted(table.elements)
     op = table.op
     e = table.identity
-    for x, y in cartesian(elems, elems):
-        if op[(x, y)] not in table.elements:
-            rb.violation("closure", (x, y, op[(x, y)]), "product is not a declared element")
+    rb.absorb(closure_report(table))
     for x, y, z in cartesian(elems, elems, elems):
         xy, yz = op[(x, y)], op[(y, z)]
         if xy not in table.elements or yz not in table.elements:

@@ -27,6 +27,7 @@ from .core import (
 from .grouptable import (
     GroupTable,
     check_table_wellformed,
+    closure_report,
     noncommuting_pair,
     pair_token,
     validate_group,
@@ -52,6 +53,10 @@ __all__ = [
 ]
 
 MODES = ("def31", "def32", "both")
+
+# every law past closure composes products further, which a value outside the
+# element set leaves undefined; those laws are skipped with this note
+_OUTSIDE_CARRIER = "a group table has a product outside its element set"
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,15 @@ def check_interchange(gg: GroupGroupoid) -> ValidationReport:
                     f"(x.y)+(z.t) = {lhs} but (x+z).(y+t) = {combined}",
                 )
     return rb.build()
+
+
+def _closed(rb: ReportBuilder, rule: str, **tables: GroupTable) -> bool:
+    """Report the tables' closure violations; True if none, else rule is skipped."""
+    for name, table in tables.items():
+        rb.absorb(closure_report(table), prefix=f"{name}-group:")
+    if not rb.clean:
+        rb.note(rule, "skipped", _OUTSIDE_CARRIER)
+    return rb.clean
 
 
 def _additivity_report(gg: GroupGroupoid) -> ValidationReport:
@@ -214,25 +228,29 @@ def check_group_groupoid(gg: GroupGroupoid, mode: str = "both") -> ValidationRep
     Both decision procedures include the structural report (base groupoid
     axioms plus group axioms) in their verdict.  In mode 'both' the two
     verdicts are compared and a mismatch raises InternalCheckFailed, since the
-    procedures are provably equivalent.
+    procedures are provably equivalent.  When a group table has a product
+    outside its element set, both procedures are skipped and fail.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {', '.join(MODES)}")
     common = structural_report(gg)
+    closed = closure_report(gg.arrow_group).valid and closure_report(gg.object_group).valid
     rb = ReportBuilder()
     rb.absorb(common)
+    sections = {
+        "def31": (_morphism_based_report,),
+        "def32": (_additivity_report, check_interchange),
+    }
     verdicts: dict[str, bool] = {}
-    if mode in ("def32", "both"):
-        section = ReportBuilder()
-        section.absorb(_additivity_report(gg))
-        section.absorb(check_interchange(gg))
-        report = section.build()
-        verdicts["def32"] = common.valid and report.valid
-        rb.absorb(report, prefix="def32:")
-    if mode in ("def31", "both"):
-        report = _morphism_based_report(gg)
-        verdicts["def31"] = common.valid and report.valid
-        rb.absorb(report, prefix="def31:")
+    for name in sections if mode == "both" else (mode,):
+        if not closed:
+            rb.note(name, "skipped", _OUTSIDE_CARRIER)
+            verdicts[name] = False
+            continue
+        reports = [section(gg) for section in sections[name]]
+        verdicts[name] = common.valid and all(r.valid for r in reports)
+        for report in reports:
+            rb.absorb(report, prefix=f"{name}:")
     for name in sorted(verdicts):
         rb.note(name, "info", "verdict pass" if verdicts[name] else "verdict fail")
     if mode == "both" and verdicts["def31"] != verdicts["def32"]:
@@ -253,6 +271,7 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
     is checked only when both groups are commutative, otherwise reported
     not-applicable with a witness), neutrality and translation laws on the
     unit fibers, and the unit-object isotropy group agreeing with addition.
+    A product outside its group's element set is reported as closure only.
     """
     check_wellformed_gg(gg)
     g = gg.base
@@ -261,6 +280,8 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
     e = A.identity
     e0 = O.identity
     rb = ReportBuilder()
+    if not _closed(rb, "derived-identities", arrow=A, object=O):
+        return rb.build()
     arrows = sorted(g.arrows)
     objects = sorted(g.objects)
     rb.absorb(_additivity_report(gg))
@@ -342,8 +363,8 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
                         f"-({x}+{y}) != (-{x})+(-{y})",
                     )
 
-    src_fiber = [x for x in arrows if g.src[x] == e0]
-    tgt_fiber = [x for x in arrows if g.tgt[x] == e0]
+    src_fiber = g.fibers.get(("source", e0), ())
+    tgt_fiber = g.fibers.get(("target", e0), ())
     for y in src_fiber:
         if g.prod.get((e, y)) != y:
             rb.violation("identity-left-neutral", (y,), f"{e}.{y} = {g.prod.get((e, y))}")
@@ -393,12 +414,15 @@ def reconstruct_from_group(gg: GroupGroupoid) -> ValidationReport:
 
     For every stored composable pair, x.y must equal x + (-unit(tgt(x))) + y,
     and for every arrow, inv(x) must equal unit(src(x)) + (-x) + unit(tgt(x));
-    both comparisons are exact token equality.
+    both comparisons are exact token equality.  A product outside the arrow
+    group's element set is reported as closure only.
     """
     check_wellformed_gg(gg)
     g = gg.base
     A = gg.arrow_group
     rb = ReportBuilder()
+    if not _closed(rb, "reconstruction", arrow=A):
+        return rb.build()
     for x, y in g.composable_pairs():
         stored = g.prod.get((x, y))
         rebuilt = A.mul(x, A.inverse[g.unit[g.tgt[x]]], y)

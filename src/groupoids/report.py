@@ -107,6 +107,12 @@ class ValidationReport:
         """Distinct violated rules, in report (sorted) order."""
         return tuple(dict.fromkeys(v.rule for v in self.violations))
 
+    def require(self, exc_type: type[GroupoidError], what: str) -> None:
+        """Raise exc_type naming the first violation, if there is one."""
+        if self.violations:
+            first = self.violations[0]
+            raise exc_type(f"{what}: {first.rule} at {','.join(first.witness)}")
+
     def to_dict(self) -> dict:
         return {
             "valid": self.valid,

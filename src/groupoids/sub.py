@@ -60,11 +60,9 @@ def check_subgroupoid(g: FiniteGroupoid, s: SubStructure) -> ValidationReport:
         for u in sorted(s.objects - image):
             rb.violation(rule, (u,), "object is not an endpoint of any chosen arrow")
     for x in sorted(s.arrows):
-        for y in sorted(s.arrows):
-            if g.tgt[x] != g.src[y]:
-                continue
+        for y in g.fibers.get(("source", g.tgt[x]), ()):
             z = g.prod.get((x, y))
-            if z is not None and z not in s.arrows:
+            if y in s.arrows and z is not None and z not in s.arrows:
                 rb.violation("product-closed", (x, y), f"product {z} escapes the subset")
         if g.inv[x] not in s.arrows:
             rb.violation("inverse-closed", (x,), f"inverse {g.inv[x]} escapes the subset")
@@ -105,13 +103,9 @@ def isotropy_bundle(gg: GroupGroupoid) -> SubStructure:
         arrows=frozenset(x for x in g.arrows if g.src[x] == g.tgt[x]),
         objects=g.objects,
     )
-    report = check_group_subgroupoid(gg, bundle)
-    if not report.valid:
-        first = report.violations[0]
-        raise InternalCheckFailed(
-            f"isotropy bundle fails the subgroupoid check ({first.rule} at "
-            f"{','.join(first.witness)}); the input is not a valid group-groupoid"
-        )
+    check_group_subgroupoid(gg, bundle).require(
+        InternalCheckFailed, "invalid group-groupoid: isotropy bundle is not a group-subgroupoid"
+    )
     return bundle
 
 
@@ -127,8 +121,8 @@ def unit_fiber_subgroups(
     g = gg.base
     A = gg.arrow_group
     e0 = gg.object_group.identity
-    src_fiber = frozenset(x for x in g.arrows if g.src[x] == e0)
-    tgt_fiber = frozenset(x for x in g.arrows if g.tgt[x] == e0)
+    src_fiber = frozenset(g.fibers.get(("source", e0), ()))
+    tgt_fiber = frozenset(g.fibers.get(("target", e0), ()))
     loops = src_fiber & tgt_fiber
     rb = ReportBuilder()
     _subgroup_violations(rb, A, src_fiber, "source-fiber")
@@ -151,13 +145,9 @@ def unit_fiber_subgroups(
                 (x,),
                 f"inv({x}) = {g.inv[x]} but -{x} = {A.inverse[x]}",
             )
-    report = rb.build()
-    if not report.valid:
-        first = report.violations[0]
-        raise InternalCheckFailed(
-            f"unit fibers are not subgroups ({first.rule} at {','.join(first.witness)}); "
-            "the input is not a valid group-groupoid"
-        )
+    rb.build().require(
+        InternalCheckFailed, "invalid group-groupoid: unit fibers are not subgroups"
+    )
     return src_fiber, tgt_fiber, loops
 
 
@@ -174,11 +164,7 @@ def anchor_morphism(gg: GroupGroupoid) -> Morphism:
         f={x: pair_token(g.src[x], g.tgt[x]) for x in g.arrows},
         f0={u: u for u in g.objects},
     )
-    report = validate_gg_morphism(m, gg, target)
-    if not report.valid:
-        first = report.violations[0]
-        raise InternalCheckFailed(
-            f"anchor is not a morphism ({first.rule} at {','.join(first.witness)}); "
-            "the input is not a valid group-groupoid"
-        )
+    validate_gg_morphism(m, gg, target).require(
+        InternalCheckFailed, "invalid group-groupoid: anchor is not a morphism"
+    )
     return m

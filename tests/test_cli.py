@@ -129,6 +129,8 @@ def test_construct_bad_specs(capsys):
     assert run_command(["construct", "group", "--group", "symmetric:5"]) == 2
     assert run_command(["construct", "pair"]) == 2
     assert run_command(["construct", "product", "one-file-only"]) == 2
+    # construct emits a structure file, not a report, so it takes no --format
+    assert run_command(["construct", "pair", "--objects", "a", "--format", "text"]) == 2
 
 
 def test_sub_exit_codes(pair_z2_file, capsys):
@@ -170,8 +172,13 @@ def test_morphism_and_anchor(pair_z2_file, tmp_path, capsys):
     m_path.write_text(body, encoding="utf-8")
     assert run_command(["morphism", str(m_path)]) == 0
     assert run_command(["validate", str(m_path)]) == 0
-    assert run_command(["anchor", pair_z2_file]) == 0
     capsys.readouterr()
+    assert run_command(["anchor", pair_z2_file]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+    assert run_command(["anchor", pair_z2_file, "--format", "machine"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "notes": [],\n  "valid": true,\n  "violations": []\n}\n'
+    )
 
 
 def test_affine_subcommands(capsys):

@@ -178,6 +178,15 @@ def test_wellformedness_is_an_error_not_a_report():
         validate_groupoid(rebuild(g, tgt={**g.tgt, "(a|b)": "zzz"}))
 
 
+@pytest.mark.parametrize("bad", ["", "a b", "a#b", "a=b", "a.b"])
+def test_identifiers_follow_the_file_format_rule(bad):
+    g = null_groupoid(["u"])
+    renamed = rebuild(g, objects=frozenset({bad}), unit={bad: "u"}, src={"u": bad},
+                      tgt={"u": bad})
+    with pytest.raises(MalformedStructure, match="bad identifier"):
+        validate_groupoid(renamed)
+
+
 def test_structure_identities_on_valid_inputs():
     report = structure_identities(pair_groupoid(["a", "b", "c"]))
     assert report.valid

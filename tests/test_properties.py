@@ -11,6 +11,7 @@ from groupoids import (
     FiniteGroupoid,
     InternalCheckFailed,
     NotComposable,
+    ValidationReport,
     Vec2,
     aff_eval,
     aff_parallelograms,
@@ -21,6 +22,7 @@ from groupoids import (
     cyclic_group,
     direct_product_groups,
     emit_structure_file,
+    fiber,
     group_pair_groupoid,
     null_group_groupoid,
     parse_structure_file,
@@ -110,6 +112,55 @@ def mutated(draw) -> GroupGroupoid:
             object_group.elements, table, object_group.identity, object_group.inverse
         )
     return GroupGroupoid(base, arrow_group, object_group)
+
+
+@st.composite
+def outside_carrier(draw) -> tuple[GroupGroupoid, str, tuple[str, str]]:
+    """One arrow-op or object-op entry of a valid structure set to a fresh
+    token, which only the API can do: the file parser refuses it."""
+    gg = draw(st.sampled_from(CORPUS))
+    which = draw(st.sampled_from(("arrow", "object")))
+    table = gg.arrow_group if which == "arrow" else gg.object_group
+    key = draw(st.sampled_from(sorted(table.op)))
+    fresh = type(table)(table.elements, {**table.op, key: "zz-fresh"}, table.identity,
+                        table.inverse)
+    if which == "arrow":
+        return GroupGroupoid(gg.base, fresh, gg.object_group), which, key
+    return GroupGroupoid(gg.base, gg.arrow_group, fresh), which, key
+
+
+def names(report, key) -> bool:
+    return any(set(key) <= set(v.witness) for v in report.violations)
+
+
+@given(outside_carrier())
+@settings(max_examples=60, deadline=None)
+def test_products_outside_the_carrier_are_reported_not_raised(case):
+    gg, which, key = case
+    for mode in ("def31", "def32", "both"):
+        report = check_group_groupoid(gg, mode=mode)
+        assert not report.valid and names(report, key)
+    report = check_derived_identities(gg)
+    assert not report.valid and names(report, key)
+    report = reconstruct_from_group(gg)
+    assert isinstance(report, ValidationReport)
+    if which == "arrow":  # the only table reconstruction reads
+        assert not report.valid and names(report, key)
+
+
+@given(st.one_of(st.sampled_from(CORPUS), mutated()))
+@settings(max_examples=150, deadline=None)
+def test_fiber_index_matches_the_exhaustive_scan(gg):
+    g = gg.base
+    arrows = sorted(g.arrows)
+    assert list(g.composable_pairs()) == [
+        (x, y) for x in arrows for y in arrows if g.tgt[x] == g.src[y]
+    ]
+    for side, mapping in (("source", g.src), ("target", g.tgt)):
+        for u in sorted(g.objects):
+            scan = [x for x in arrows if mapping[x] == u]
+            assert fiber(g, side, u) == frozenset(scan)
+            assert g.fibers.get((side, u), ()) == tuple(scan)
 
 
 @given(group_groupoids())
