@@ -1,7 +1,7 @@
 """The standard constructions: null, single-unit, pair, and direct products.
 
-Constructors are verified, not trusted: each one runs the relevant validator
-on its output before returning it.
+Constructors check their output with validate_groupoid (groupoids) or
+check_group_groupoid in mode def32 (group-groupoids); tests cross-check def31.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _verified(g: FiniteGroupoid) -> FiniteGroupoid:
 
 
 def _verified_gg(gg: GroupGroupoid) -> GroupGroupoid:
-    check_group_groupoid(gg, mode="both").require(
+    check_group_groupoid(gg, mode="def32").require(
         InternalCheckFailed, "constructor produced an invalid group-groupoid"
     )
     return gg
@@ -189,7 +189,7 @@ def single_unit_group_groupoid(table: GroupTable) -> GroupGroupoid:
     Commutativity is required: for a non-commutative table the interchange law
     already fails, and the witness pair is reported in the error.
     """
-    _require_group(table)
+    base = group_as_single_unit_groupoid(table)
     witness = noncommuting_pair(table)
     if witness is not None:
         raise NonCommutativeGroup(
@@ -199,7 +199,7 @@ def single_unit_group_groupoid(table: GroupTable) -> GroupGroupoid:
         )
     return _verified_gg(
         GroupGroupoid(
-            base=group_as_single_unit_groupoid(table),
+            base=base,
             arrow_group=table,
             object_group=trivial_group(table.identity),
         )

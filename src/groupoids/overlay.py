@@ -446,11 +446,18 @@ def reconstruct_from_group(gg: GroupGroupoid) -> ValidationReport:
 def validate_gg_morphism(
     m: Morphism, a: GroupGroupoid, b: GroupGroupoid
 ) -> ValidationReport:
-    """A group-groupoid morphism: groupoid morphism whose maps are also additive."""
+    """A group-groupoid morphism: groupoid morphism whose maps are also additive.
+
+    A product outside the source's element sets is reported as closure, and
+    additivity is then skipped.
+    """
     if m.source != a.base or m.target != b.base:
         raise DomainMismatch("morphism endpoints are not the bases of the given structures")
     rb = ReportBuilder()
+    closed = _closed(rb, "additivity", arrow=a.arrow_group, object=a.object_group)
     rb.absorb(validate_morphism(m))
+    if not closed:
+        return rb.build()
     for x in sorted(a.base.arrows):
         for y in sorted(a.base.arrows):
             lhs = m.f[a.arrow_group.op[(x, y)]]

@@ -3,13 +3,16 @@ import pytest
 from groupoids import (
     EmptySet,
     GroupTable,
+    InternalCheckFailed,
     InvalidGroup,
     InvalidInput,
     NonCommutativeGroup,
+    anchor_morphism,
     check_group_groupoid,
     cyclic_group,
     direct_product_group_groupoids,
     direct_product_groupoids,
+    direct_product_groups,
     group_as_single_unit_groupoid,
     group_pair_groupoid,
     is_transitive,
@@ -113,3 +116,34 @@ def test_constructors_reject_broken_tables():
         null_group_groupoid(broken)
     with pytest.raises(InvalidGroup):
         group_pair_groupoid(broken)
+    s3 = symmetric_group(3)
+    op = dict(s3.op)
+    op[("021", "021")] = "021"
+    with pytest.raises(InvalidGroup):  # broken first, non-commutative second
+        single_unit_group_groupoid(GroupTable(s3.elements, op, s3.identity, s3.inverse))
+
+
+def test_constructors_check_their_output_in_def32_only(monkeypatch):
+    def refuse(gg):
+        raise AssertionError("a constructor ran def31")
+
+    monkeypatch.setattr("groupoids.overlay._morphism_based_report", refuse)
+    z2 = cyclic_group(2)
+    null = null_group_groupoid(z2)
+    single_unit_group_groupoid(cyclic_group(4))
+    pair = group_pair_groupoid(z2)
+    direct_product_group_groupoids(pair, null)
+    anchor_morphism(pair)
+
+
+def test_constructor_rejects_its_own_invalid_output(monkeypatch):
+    def damaged(a, b):
+        table = direct_product_groups(a, b)
+        key = sorted(table.op)[-1]
+        other = next(x for x in sorted(table.elements) if x != table.op[key])
+        return GroupTable(table.elements, {**table.op, key: other}, table.identity,
+                          table.inverse)
+
+    monkeypatch.setattr("groupoids.construct.direct_product_groups", damaged)
+    with pytest.raises(InternalCheckFailed):
+        group_pair_groupoid(cyclic_group(3))

@@ -4,12 +4,15 @@ the exact-arithmetic model satisfies its laws at arbitrary rational points."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupoids import (
     GroupGroupoid,
     FiniteGroupoid,
     InternalCheckFailed,
+    InvalidGroup,
+    Morphism,
     NotComposable,
     ValidationReport,
     Vec2,
@@ -20,6 +23,7 @@ from groupoids import (
     check_derived_identities,
     check_group_groupoid,
     cyclic_group,
+    direct_product_group_groupoids,
     direct_product_groups,
     emit_structure_file,
     fiber,
@@ -32,6 +36,7 @@ from groupoids import (
     symmetric_group,
     trivial_group,
     unit_fiber_subgroups,
+    validate_gg_morphism,
     validate_groupoid,
 )
 
@@ -52,15 +57,50 @@ ALL_TABLES = ABELIAN_TABLES + (symmetric_group(3),)
 CORPUS = tuple(build_corpus().values())
 
 
+SHAPES = {
+    "null": (null_group_groupoid, ALL_TABLES),
+    "single_unit": (single_unit_group_groupoid, ABELIAN_TABLES),
+    "group_pair": (group_pair_groupoid, ALL_TABLES),
+}
+FACTORS = [(shape, table) for shape, (_, tables) in SHAPES.items() for table in tables]
+
+
+def _size(factor) -> tuple[int, int]:
+    """(arrows, objects) of a factor, known without building it."""
+    shape, table = factor
+    n = len(table.elements)
+    return {"null": (n, n), "single_unit": (n, 1), "group_pair": (n * n, n)}[shape]
+
+
+# pairs whose product has at most 18 arrows and 6 objects; the object count
+# sets the cost of anchor_morphism, which builds group-pair on the object group
+PRODUCT_FACTORS = [
+    (p, q)
+    for p in FACTORS
+    for q in FACTORS
+    if _size(p)[0] * _size(q)[0] <= 18 and _size(p)[1] * _size(q)[1] <= 6
+]
+
+
+def _build(factor) -> GroupGroupoid:
+    shape, table = factor
+    return SHAPES[shape][0](table)
+
+
 @st.composite
-def group_groupoids(draw) -> GroupGroupoid:
-    shape = draw(st.sampled_from(("null", "single_unit", "group_pair")))
-    if shape == "single_unit":
-        return single_unit_group_groupoid(draw(st.sampled_from(ABELIAN_TABLES)))
-    table = draw(st.sampled_from(ALL_TABLES))
-    if shape == "null":
-        return null_group_groupoid(table)
-    return group_pair_groupoid(table)
+def constructed(draw) -> tuple[GroupGroupoid, list]:
+    """A constructor's output, with (projection, factor) pairs for a product."""
+    shape = draw(st.sampled_from((*SHAPES, "product")))
+    if shape != "product":
+        tables = SHAPES[shape][1]
+        return _build((shape, draw(st.sampled_from(tables)))), []
+    a, b = (_build(f) for f in draw(st.sampled_from(PRODUCT_FACTORS)))
+    product, left, right = direct_product_group_groupoids(a, b)
+    return product, [(left, a), (right, b)]
+
+
+def group_groupoids():
+    return constructed().map(lambda case: case[0])
 
 
 @st.composite
@@ -146,6 +186,12 @@ def test_products_outside_the_carrier_are_reported_not_raised(case):
     assert isinstance(report, ValidationReport)
     if which == "arrow":  # the only table reconstruction reads
         assert not report.valid and names(report, key)
+    identity = Morphism(gg.base, gg.base, {x: x for x in gg.base.arrows},
+                        {u: u for u in gg.base.objects})
+    report = validate_gg_morphism(identity, gg, gg)
+    assert not report.valid and names(report, key)
+    with pytest.raises((InternalCheckFailed, InvalidGroup)):
+        anchor_morphism(gg)
 
 
 @given(st.one_of(st.sampled_from(CORPUS), mutated()))
@@ -163,9 +209,11 @@ def test_fiber_index_matches_the_exhaustive_scan(gg):
             assert g.fibers.get((side, u), ()) == tuple(scan)
 
 
-@given(group_groupoids())
+@given(constructed())
 @settings(max_examples=40, deadline=None)
-def test_constructed_structures_satisfy_everything(gg):
+def test_constructed_structures_satisfy_everything(case):
+    # constructors check their output in def32 only; def31 is cross-checked here
+    gg, projections = case
     assert validate_groupoid(gg.base).valid
     assert structure_identities(gg.base).valid
     assert check_group_groupoid(gg, mode="both").valid
@@ -173,6 +221,8 @@ def test_constructed_structures_satisfy_everything(gg):
     assert reconstruct_from_group(gg).valid
     anchor_morphism(gg)  # raises if it fails its own validation
     unit_fiber_subgroups(gg)
+    for m, factor in projections:
+        assert validate_gg_morphism(m, gg, factor).valid
 
 
 @given(mutated())
