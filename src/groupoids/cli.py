@@ -148,27 +148,19 @@ def _cmd_check(args) -> int:
     return _finish(check_group_groupoid(sf.structure, mode=args.mode), args.format)
 
 
-def _finish_gated(gg: GroupGroupoid, fmt: str, check) -> int:
-    """Print check(gg), or the failing def32 report when gg is not a valid group-groupoid."""
-    gate = check_group_groupoid(gg, mode="def32")
-    return _finish(check(gg) if gate.valid else gate, fmt)
+def _cmd_gated(args) -> int:
+    """Print args.checks[kind](structure) once the structure is valid, else its failing report.
 
-
-def _cmd_identities(args) -> int:
+    Validity is validate_groupoid for a groupoid and check_group_groupoid in
+    mode def32 for a group-groupoid.
+    """
     sf = load_structure_file(args.file)
-    _want(sf, "groupoid", "group_groupoid")
+    _want(sf, *args.checks)
     if sf.kind == "groupoid":
-        base_report = validate_groupoid(sf.structure)
-        if not base_report.valid:
-            return _finish(base_report, args.format)
-        return _finish(structure_identities(sf.structure), args.format)
-    return _finish_gated(sf.structure, args.format, check_derived_identities)
-
-
-def _cmd_reconstruct(args) -> int:
-    sf = load_structure_file(args.file)
-    _want(sf, "group_groupoid")
-    return _finish_gated(sf.structure, args.format, reconstruct_from_group)
+        gate = validate_groupoid(sf.structure)
+    else:
+        gate = check_group_groupoid(sf.structure, mode="def32")
+    return _finish(args.checks[sf.kind](sf.structure) if gate.valid else gate, args.format)
 
 
 def _emit_out(structure, args) -> int:
@@ -259,15 +251,9 @@ def _cmd_morphism(args) -> int:
     return _finish(report, args.format)
 
 
-def _cmd_anchor(args) -> int:
-    sf = load_structure_file(args.file)
-    _want(sf, "group_groupoid")
-
-    def anchor(gg: GroupGroupoid) -> ValidationReport:
-        anchor_morphism(gg)  # raises unless the anchor passes validate_gg_morphism
-        return ValidationReport()
-
-    return _finish_gated(sf.structure, args.format, anchor)
+def _anchor_report(gg: GroupGroupoid) -> ValidationReport:
+    anchor_morphism(gg)  # raises unless the anchor passes validate_gg_morphism
+    return ValidationReport()
 
 
 def _cmd_affine_verify(args) -> int:
@@ -332,12 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("identities", help="consequence identities of a valid structure")
     p.add_argument("file")
     _add_format(p)
-    p.set_defaults(handler=_cmd_identities)
+    p.set_defaults(handler=_cmd_gated, checks={
+        "groupoid": structure_identities, "group_groupoid": check_derived_identities,
+    })
 
     p = subs.add_parser("reconstruct", help="recompute product and inverse from the group")
     p.add_argument("file")
     _add_format(p)
-    p.set_defaults(handler=_cmd_reconstruct)
+    p.set_defaults(handler=_cmd_gated, checks={"group_groupoid": reconstruct_from_group})
 
     p = subs.add_parser("construct", help="build a structure and emit its file")
     p.add_argument("what", choices=("pair", "null", "group", "single-unit",
@@ -372,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("anchor", help="validate the source-target morphism")
     p.add_argument("file")
     _add_format(p)
-    p.set_defaults(handler=_cmd_anchor)
+    p.set_defaults(handler=_cmd_gated, checks={"group_groupoid": _anchor_report})
 
     p = subs.add_parser("affine", help="the affine-plane model over the rationals")
     affine_subs = p.add_subparsers(dest="affine_command", required=True)

@@ -325,16 +325,15 @@ def conjugation_iso(g: FiniteGroupoid, x: str) -> dict[str, str]:
     return phi
 
 
-def structure_identities(
-    g: FiniteGroupoid, *, iso_order_cap: int = ISO_SEARCH_CAP
-) -> ValidationReport:
+def structure_identities(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively verify the identities every valid groupoid must satisfy.
 
     Endpoints of products and inverses, unit arrows being idempotent
     self-inverse loops, inversion being an involution that swaps endpoints,
     and products inverting contravariantly.  For a transitive groupoid whose
-    isotropy groups are small enough, also checks that they are pairwise
-    isomorphic (by brute-force search, independent of conjugation).
+    isotropy groups have order at most ISO_SEARCH_CAP, also checks that they
+    are pairwise isomorphic (by brute-force search, independent of
+    conjugation); above the cap that check is skipped with a note.
 
     Expects a groupoid that already passed validate_groupoid; on broken input
     the product lookups may be undefined, which is reported rather than raised.
@@ -387,11 +386,11 @@ def structure_identities(
     else:
         tables = {u: isotropy_group(g, u) for u in objects}
         biggest = max(len(t.elements) for t in tables.values())
-        if biggest > iso_order_cap:
+        if biggest > ISO_SEARCH_CAP:
             rb.note(
                 "isotropy-isomorphic",
                 "skipped",
-                f"isotropy order {biggest} exceeds the search cap {iso_order_cap}",
+                f"isotropy order {biggest} exceeds the search cap {ISO_SEARCH_CAP}",
             )
         else:
             base = objects[0]

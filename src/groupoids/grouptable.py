@@ -23,6 +23,9 @@ __all__ = [
     "pair_token",
     "check_table_wellformed",
     "closure_report",
+    "skip_past_closure",
+    "closure_gate",
+    "additivity_report",
     "validate_group",
     "is_group_hom",
     "noncommuting_pair",
@@ -89,24 +92,56 @@ def closure_report(table: GroupTable) -> ValidationReport:
     return rb.build()
 
 
+def skip_past_closure(rb: ReportBuilder, rule: str) -> None:
+    """Note rule as skipped: it would compose a product outside the element set."""
+    rb.note(rule, "skipped", "a group table has a product outside its element set")
+
+
+def closure_gate(rb: ReportBuilder, rule: str, tables: Mapping[str, GroupTable]) -> bool:
+    """Report each table's closure violations under its prefix; if any, skip rule."""
+    closed = True
+    for prefix, table in tables.items():
+        report = closure_report(table)
+        rb.absorb(report, prefix=prefix)
+        closed = closed and report.valid
+    if not closed:
+        skip_past_closure(rb, rule)
+    return closed
+
+
+def additivity_report(
+    rule: str, name: str, h: Mapping[str, str], dom: GroupTable, cod: GroupTable
+) -> ValidationReport:
+    """One violation of rule per pair with h(x+y) != h(x)+h(y); dom must be closed."""
+    rb = ReportBuilder()
+    for (x, y), s in dom.op.items():
+        lhs, rhs = h[s], cod.op[(h[x], h[y])]
+        if lhs != rhs:
+            msg = f"{name}({x}+{y}) = {lhs} but {name}({x})+{name}({y}) = {rhs}"
+            rb.violation(rule, (x, y), msg)
+    return rb.build()
+
+
 def validate_group(table: GroupTable) -> ValidationReport:
-    """Exhaustive group-axiom check: closure, associativity, identity and inverse laws."""
+    """Exhaustive group-axiom check: closure, associativity, identity and inverse laws.
+
+    A product outside the element set is reported as closure, and
+    associativity, which would compose it further, is then skipped.
+    """
     check_table_wellformed(table)
     rb = ReportBuilder()
     elems = sorted(table.elements)
     op = table.op
     e = table.identity
-    rb.absorb(closure_report(table))
-    for x, y, z in cartesian(elems, elems, elems):
-        xy, yz = op[(x, y)], op[(y, z)]
-        if xy not in table.elements or yz not in table.elements:
-            continue  # already reported as closure violations
-        if op[(xy, z)] != op[(x, yz)]:
-            rb.violation(
-                "associativity",
-                (x, y, z),
-                f"({x}.{y}).{z} = {op[(xy, z)]} but {x}.({y}.{z}) = {op[(x, yz)]}",
-            )
+    if closure_gate(rb, "associativity", {"": table}):
+        for x, y, z in cartesian(elems, elems, elems):
+            xy, yz = op[(x, y)], op[(y, z)]
+            if op[(xy, z)] != op[(x, yz)]:
+                rb.violation(
+                    "associativity",
+                    (x, y, z),
+                    f"({x}.{y}).{z} = {op[(xy, z)]} but {x}.({y}.{z}) = {op[(x, yz)]}",
+                )
     for x in elems:
         if op[(e, x)] != x:
             rb.violation("left-identity", (x,), f"{e}.{x} = {op[(e, x)]}")
@@ -126,10 +161,7 @@ def is_group_hom(f: Mapping[str, str], dom: GroupTable, cod: GroupTable) -> bool
         raise DomainMismatch("map must be total on the domain elements")
     if not set(f.values()) <= set(cod.elements):
         raise DomainMismatch("map has values outside the codomain elements")
-    return all(
-        f[dom.op[(x, y)]] == cod.op[(f[x], f[y])]
-        for x, y in cartesian(sorted(dom.elements), repeat=2)
-    )
+    return additivity_report("hom", "f", f, dom, cod).valid
 
 
 def noncommuting_pair(table: GroupTable) -> tuple[str, str] | None:

@@ -20,16 +20,20 @@ from dataclasses import dataclass
 from .core import (
     FiniteGroupoid,
     Morphism,
+    _loops,
     check_wellformed,
     validate_groupoid,
     validate_morphism,
 )
 from .grouptable import (
     GroupTable,
+    additivity_report,
     check_table_wellformed,
+    closure_gate,
     closure_report,
     noncommuting_pair,
     pair_token,
+    skip_past_closure,
     validate_group,
 )
 from .report import (
@@ -48,15 +52,12 @@ __all__ = [
     "check_interchange",
     "check_group_groupoid",
     "check_derived_identities",
+    "unit_isotropy_report",
     "reconstruct_from_group",
     "validate_gg_morphism",
 ]
 
 MODES = ("def31", "def32", "both")
-
-# every law past closure composes products further, which a value outside the
-# element set leaves undefined; those laws are skipped with this note
-_OUTSIDE_CARRIER = "a group table has a product outside its element set"
 
 
 @dataclass(frozen=True)
@@ -124,56 +125,18 @@ def check_interchange(gg: GroupGroupoid) -> ValidationReport:
     return rb.build()
 
 
-def _closed(rb: ReportBuilder, rule: str, **tables: GroupTable) -> bool:
-    """Report the tables' closure violations; True if none, else rule is skipped."""
-    for name, table in tables.items():
-        rb.absorb(closure_report(table), prefix=f"{name}-group:")
-    if not rb.clean:
-        rb.note(rule, "skipped", _OUTSIDE_CARRIER)
-    return rb.clean
-
-
 def _additivity_report(gg: GroupGroupoid) -> ValidationReport:
     """source/target/inversion/unit must each be a group homomorphism."""
     g = gg.base
-    add = gg.arrow_group.op
-    add0 = gg.object_group.op
+    A, O = gg.arrow_group, gg.object_group
     rb = ReportBuilder()
-    arrows = sorted(g.arrows)
-    for x in arrows:
-        for y in arrows:
-            s = add[(x, y)]
-            if g.src[s] != add0[(g.src[x], g.src[y])]:
-                rb.violation(
-                    "source-additive",
-                    (x, y),
-                    f"src({x}+{y}) = {g.src[s]} but src({x})+src({y}) = "
-                    f"{add0[(g.src[x], g.src[y])]}",
-                )
-            if g.tgt[s] != add0[(g.tgt[x], g.tgt[y])]:
-                rb.violation(
-                    "target-additive",
-                    (x, y),
-                    f"tgt({x}+{y}) = {g.tgt[s]} but tgt({x})+tgt({y}) = "
-                    f"{add0[(g.tgt[x], g.tgt[y])]}",
-                )
-            if g.inv[s] != add[(g.inv[x], g.inv[y])]:
-                rb.violation(
-                    "inversion-additive",
-                    (x, y),
-                    f"inv({x}+{y}) = {g.inv[s]} but inv({x})+inv({y}) = "
-                    f"{add[(g.inv[x], g.inv[y])]}",
-                )
-    for u in sorted(g.objects):
-        for v in sorted(g.objects):
-            lhs = g.unit[add0[(u, v)]]
-            rhs = add[(g.unit[u], g.unit[v])]
-            if lhs != rhs:
-                rb.violation(
-                    "unit-additive",
-                    (u, v),
-                    f"unit({u}+{v}) = {lhs} but unit({u})+unit({v}) = {rhs}",
-                )
+    for rule, name, h, dom, cod in (
+        ("source-additive", "src", g.src, A, O),
+        ("target-additive", "tgt", g.tgt, A, O),
+        ("inversion-additive", "inv", g.inv, A, A),
+        ("unit-additive", "unit", g.unit, O, A),
+    ):
+        rb.absorb(additivity_report(rule, name, h, dom, cod))
     return rb.build()
 
 
@@ -244,7 +207,7 @@ def check_group_groupoid(gg: GroupGroupoid, mode: str = "both") -> ValidationRep
     verdicts: dict[str, bool] = {}
     for name in sections if mode == "both" else (mode,):
         if not closed:
-            rb.note(name, "skipped", _OUTSIDE_CARRIER)
+            skip_past_closure(rb, name)
             verdicts[name] = False
             continue
         reports = [section(gg) for section in sections[name]]
@@ -280,7 +243,7 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
     e = A.identity
     e0 = O.identity
     rb = ReportBuilder()
-    if not _closed(rb, "derived-identities", arrow=A, object=O):
+    if not closure_gate(rb, "derived-identities", {"arrow-group:": A, "object-group:": O}):
         return rb.build()
     arrows = sorted(g.arrows)
     objects = sorted(g.objects)
@@ -391,21 +354,27 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
                     f"(x+z).y = {lhs} but (x.y)+z = {A.op[(xy, z)]}",
                 )
 
-    loops = [x for x in src_fiber if g.tgt[x] == e0]
+    rb.absorb(unit_isotropy_report(
+        gg, "isotropy-product-is-addition", "isotropy-inverse-is-negation"
+    ))
+    return rb.build()
+
+
+def unit_isotropy_report(
+    gg: GroupGroupoid, product_rule: str, inverse_rule: str
+) -> ValidationReport:
+    """The loops at the identity object compose by addition and invert by negation."""
+    g = gg.base
+    A = gg.arrow_group
+    rb = ReportBuilder()
+    loops = _loops(g, gg.object_group.identity)
     for x in loops:
         for y in loops:
-            if g.prod.get((x, y)) != A.op[(x, y)]:
-                rb.violation(
-                    "isotropy-product-is-addition",
-                    (x, y),
-                    f"{x}.{y} = {g.prod.get((x, y))} but {x}+{y} = {A.op[(x, y)]}",
-                )
+            product, total = g.prod.get((x, y)), A.op[(x, y)]
+            if product != total:
+                rb.violation(product_rule, (x, y), f"{x}.{y} = {product} but {x}+{y} = {total}")
         if g.inv[x] != A.inverse[x]:
-            rb.violation(
-                "isotropy-inverse-is-negation",
-                (x,),
-                f"inv({x}) = {g.inv[x]} but -{x} = {A.inverse[x]}",
-            )
+            rb.violation(inverse_rule, (x,), f"inv({x}) = {g.inv[x]} but -{x} = {A.inverse[x]}")
     return rb.build()
 
 
@@ -421,7 +390,7 @@ def reconstruct_from_group(gg: GroupGroupoid) -> ValidationReport:
     g = gg.base
     A = gg.arrow_group
     rb = ReportBuilder()
-    if not _closed(rb, "reconstruction", arrow=A):
+    if not closure_gate(rb, "reconstruction", {"arrow-group:": A}):
         return rb.build()
     for x, y in g.composable_pairs():
         stored = g.prod.get((x, y))
@@ -448,30 +417,19 @@ def validate_gg_morphism(
 ) -> ValidationReport:
     """A group-groupoid morphism: groupoid morphism whose maps are also additive.
 
-    A product outside the source's element sets is reported as closure, and
+    Both structures must be well formed (MalformedStructure otherwise).  A
+    product outside the source's element sets is reported as closure, and
     additivity is then skipped.
     """
     if m.source != a.base or m.target != b.base:
         raise DomainMismatch("morphism endpoints are not the bases of the given structures")
+    check_wellformed_gg(a)
+    check_wellformed_gg(b)
+    A, O = a.arrow_group, a.object_group
     rb = ReportBuilder()
-    closed = _closed(rb, "additivity", arrow=a.arrow_group, object=a.object_group)
+    closed = closure_gate(rb, "additivity", {"arrow-group:": A, "object-group:": O})
     rb.absorb(validate_morphism(m))
-    if not closed:
-        return rb.build()
-    for x in sorted(a.base.arrows):
-        for y in sorted(a.base.arrows):
-            lhs = m.f[a.arrow_group.op[(x, y)]]
-            rhs = b.arrow_group.op[(m.f[x], m.f[y])]
-            if lhs != rhs:
-                rb.violation(
-                    "f-additive", (x, y), f"f({x}+{y}) = {lhs} but f({x})+f({y}) = {rhs}"
-                )
-    for u in sorted(a.base.objects):
-        for v in sorted(a.base.objects):
-            lhs = m.f0[a.object_group.op[(u, v)]]
-            rhs = b.object_group.op[(m.f0[u], m.f0[v])]
-            if lhs != rhs:
-                rb.violation(
-                    "f0-additive", (u, v), f"f0({u}+{v}) = {lhs} but f0({u})+f0({v}) = {rhs}"
-                )
+    if closed:
+        rb.absorb(additivity_report("f-additive", "f", m.f, A, b.arrow_group))
+        rb.absorb(additivity_report("f0-additive", "f0", m.f0, O, b.object_group))
     return rb.build()

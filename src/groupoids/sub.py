@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .construct import group_pair_groupoid
 from .core import FiniteGroupoid, Morphism
 from .grouptable import GroupTable, pair_token
-from .overlay import GroupGroupoid, validate_gg_morphism
+from .overlay import GroupGroupoid, unit_isotropy_report, validate_gg_morphism
 from .report import (
     InternalCheckFailed,
     NotSubset,
@@ -131,20 +131,7 @@ def unit_fiber_subgroups(
         check_group_subgroupoid(gg, SubStructure(loops, frozenset({e0}))),
         prefix="unit-isotropy:",
     )
-    for x in sorted(loops):
-        for y in sorted(loops):
-            if g.prod.get((x, y)) != A.op[(x, y)]:
-                rb.violation(
-                    "unit-isotropy-product",
-                    (x, y),
-                    f"{x}.{y} = {g.prod.get((x, y))} but {x}+{y} = {A.op[(x, y)]}",
-                )
-        if g.inv[x] != A.inverse[x]:
-            rb.violation(
-                "unit-isotropy-inverse",
-                (x,),
-                f"inv({x}) = {g.inv[x]} but -{x} = {A.inverse[x]}",
-            )
+    rb.absorb(unit_isotropy_report(gg, "unit-isotropy-product", "unit-isotropy-inverse"))
     rb.build().require(
         InternalCheckFailed, "invalid group-groupoid: unit fibers are not subgroups"
     )

@@ -118,6 +118,19 @@ def test_validate_group_catches_broken_entry():
     assert "associativity" in report.rules()
 
 
+def test_product_outside_the_elements_skips_associativity():
+    z3 = cyclic_group(3)
+    op = {**z3.op, ("0", "2"): "zz"}
+    report = validate_group(GroupTable(z3.elements, op, z3.identity, z3.inverse))
+    assert [(v.rule, v.witness) for v in report.violations] == [
+        ("closure", ("0", "2", "zz")),
+        ("left-identity", ("2",)),
+    ]
+    assert [(n.rule, n.status, n.message) for n in report.notes] == [
+        ("associativity", "skipped", "a group table has a product outside its element set")
+    ]
+
+
 def test_validate_group_catches_bad_inverse():
     z3 = cyclic_group(3)
     inverse = dict(z3.inverse)

@@ -13,18 +13,20 @@ from groupoids import (
     group_pair_groupoid,
     null_group_groupoid,
     reconstruct_from_group,
+    single_unit_group_groupoid,
     structural_report,
     symmetric_group,
+    unit_fiber_subgroups,
     validate_gg_morphism,
 )
 
 
-def mutate_base_prod(gg, key, value):
+def mutate_base(gg, field, key, value):
     g = gg.base
-    prod = dict(g.prod)
-    prod[key] = value
-    base = FiniteGroupoid(g.objects, g.arrows, g.src, g.tgt, g.unit, g.inv, prod)
-    return GroupGroupoid(base, gg.arrow_group, gg.object_group)
+    fields = dict(objects=g.objects, arrows=g.arrows, src=dict(g.src), tgt=dict(g.tgt),
+                  unit=dict(g.unit), inv=dict(g.inv), prod=dict(g.prod))
+    fields[field][key] = value
+    return GroupGroupoid(FiniteGroupoid(**fields), gg.arrow_group, gg.object_group)
 
 
 def test_both_modes_pass_on_group_pair():
@@ -68,7 +70,7 @@ def test_s3_overlay_fails_both_definitions(s3_control):
 
 def test_verdicts_agree_on_a_broken_table():
     gg = group_pair_groupoid(cyclic_group(2))
-    bad = mutate_base_prod(gg, ("(0|1)", "(1|0)"), "(0|1)")
+    bad = mutate_base(gg, "prod", ("(0|1)", "(1|0)"), "(0|1)")
     report = check_group_groupoid(bad, mode="both")
     assert not report.valid
     verdicts = {n.rule: n.message for n in report.notes if n.status == "info"}
@@ -77,7 +79,7 @@ def test_verdicts_agree_on_a_broken_table():
 
 def test_structural_report_prefixes():
     gg = group_pair_groupoid(cyclic_group(2))
-    bad = mutate_base_prod(gg, ("(0|1)", "(1|0)"), "(0|1)")
+    bad = mutate_base(gg, "prod", ("(0|1)", "(1|0)"), "(0|1)")
     report = structural_report(bad)
     assert not report.valid
     assert all(
@@ -123,23 +125,34 @@ def test_reconstruction_matches_stored_tables():
 
 def test_reconstruction_flags_a_tampered_product():
     gg = group_pair_groupoid(cyclic_group(2))
-    bad = mutate_base_prod(gg, ("(0|1)", "(1|0)"), "(0|1)")
+    bad = mutate_base(gg, "prod", ("(0|1)", "(1|0)"), "(0|1)")
     report = reconstruct_from_group(bad)
     assert not report.valid
     assert "product-reconstruction" in report.rules()
 
 
 def test_additivity_violations_appear_under_def32():
-    gg = group_pair_groupoid(cyclic_group(2))
-    g = gg.base
-    src = dict(g.src)
-    src["(0|1)"] = "1"
-    base = FiniteGroupoid(g.objects, g.arrows, src, g.tgt, g.unit, g.inv, g.prod)
-    report = check_group_groupoid(
-        GroupGroupoid(base, gg.arrow_group, gg.object_group), mode="def32"
-    )
-    assert not report.valid
-    assert "def32:source-additive" in report.rules()
+    # per structure map: group order, mutated entry and value, rule, violation
+    # count, and the first witness with its message
+    cases = [
+        (2, "src", "(0|1)", "1", "source-additive", 6, ("(0|1)", "(1|0)"),
+         "src((0|1)+(1|0)) = 1 but src((0|1))+src((1|0)) = 0"),
+        (2, "tgt", "(0|1)", "0", "target-additive", 6, ("(0|1)", "(1|0)"),
+         "tgt((0|1)+(1|0)) = 1 but tgt((0|1))+tgt((1|0)) = 0"),
+        (2, "inv", "(0|1)", "(0|1)", "inversion-additive", 6, ("(0|1)", "(1|0)"),
+         "inv((0|1)+(1|0)) = (1|1) but inv((0|1))+inv((1|0)) = (0|0)"),
+        (3, "unit", "1", "(1|2)", "unit-additive", 4, ("1", "1"),
+         "unit(1+1) = (2|2) but unit(1)+unit(1) = (2|1)"),
+    ]
+    for order, field, key, value, rule, count, witness, message in cases:
+        bad = mutate_base(group_pair_groupoid(cyclic_group(order)), field, key, value)
+        report = check_group_groupoid(bad, mode="def32")
+        assert not report.valid
+        found = [(v.witness, v.message) for v in report.by_rule("def32:" + rule)]
+        assert len(found) == count
+        assert found[0] == (witness, message)
+        derived = check_derived_identities(bad).by_rule(rule)
+        assert [(v.witness, v.message) for v in derived] == found
 
 
 def test_gg_morphism_identity_is_valid():
@@ -165,8 +178,11 @@ def test_gg_morphism_rejects_nonadditive_map():
     m = Morphism(gg.base, gg.base, dict(swap12), dict(swap12))
     report = validate_gg_morphism(m, gg, gg)
     assert not report.valid
-    assert "f-additive" in report.rules()
-    assert "f0-additive" in report.rules()
+    for name in ("f", "f0"):
+        found = report.by_rule(f"{name}-additive")
+        assert len(found) == 7
+        assert found[0].witness == ("1", "1")
+        assert found[0].message == f"{name}(1+1) = 1 but {name}(1)+{name}(1) = 0"
 
 
 def test_gg_morphism_endpoint_mismatch_is_an_error():
@@ -177,3 +193,25 @@ def test_gg_morphism_endpoint_mismatch_is_an_error():
     m = Morphism(a.base, a.base, {"0": "0", "1": "1"}, {"0": "0", "1": "1"})
     with pytest.raises(DomainMismatch):
         validate_gg_morphism(m, a, b)
+
+
+@pytest.mark.parametrize(
+    "field, key, value, rule, witness, message, fiber_rule",
+    [
+        ("prod", ("1", "1"), "0", "isotropy-product-is-addition", ("1", "1"),
+         "1.1 = 0 but 1+1 = 2", "unit-isotropy-product at 1,1"),
+        ("inv", "1", "1", "isotropy-inverse-is-negation", ("1",),
+         "inv(1) = 1 but -1 = 2", "unit-isotropy-inverse at 1"),
+    ],
+    ids=["product", "inverse"],
+)
+def test_unit_isotropy_agreement_messages(field, key, value, rule, witness, message,
+                                          fiber_rule):
+    bad = mutate_base(single_unit_group_groupoid(cyclic_group(3)), field, key, value)
+    found = check_derived_identities(bad).by_rule(rule)
+    assert [(v.witness, v.message) for v in found] == [(witness, message)]
+    with pytest.raises(InternalCheckFailed) as err:
+        unit_fiber_subgroups(bad)
+    assert str(err.value) == (
+        f"invalid group-groupoid: unit fibers are not subgroups: {fiber_rule}"
+    )

@@ -1,18 +1,25 @@
 import pytest
 
 from groupoids import (
+    GroupGroupoid,
+    GroupTable,
+    InvalidGroup,
+    MalformedStructure,
+    Morphism,
     NotSubset,
     SubStructure,
     anchor_morphism,
     check_group_subgroupoid,
     check_subgroupoid,
     cyclic_group,
+    direct_product_groups,
     group_pair_groupoid,
     isotropy_bundle,
     null_group_groupoid,
     pair_groupoid,
     pair_token,
     single_unit_group_groupoid,
+    trivial_group,
     unit_fiber_subgroups,
     validate_gg_morphism,
 )
@@ -122,3 +129,26 @@ def test_anchor_morphism_on_group_pair_is_identity_shaped():
     m = anchor_morphism(gg)
     assert m.f == {x: x for x in gg.base.arrows}
     assert validate_gg_morphism(m, gg, group_pair_groupoid(gg.object_group)).valid
+
+
+def test_anchor_names_the_broken_entry_of_the_object_table():
+    gg = group_pair_groupoid(cyclic_group(3))
+    o = gg.object_group
+    broken = GroupTable(o.elements, {**o.op, ("0", "2"): "zz"}, o.identity, o.inverse)
+    with pytest.raises(InvalidGroup) as err:
+        anchor_morphism(GroupGroupoid(gg.base, gg.arrow_group, broken))
+    assert str(err.value) == "not a group: closure at 0,2,zz"
+
+
+def test_a_table_over_the_wrong_set_is_malformed_not_a_key_error():
+    gg = group_pair_groupoid(cyclic_group(2))
+    wrong = GroupGroupoid(
+        gg.base, direct_product_groups(cyclic_group(2), trivial_group("0")), gg.object_group
+    )
+    identity = Morphism(gg.base, gg.base, {x: x for x in gg.base.arrows},
+                        {u: u for u in gg.base.objects})
+    for a, b in ((wrong, wrong), (gg, wrong)):
+        with pytest.raises(MalformedStructure, match="arrow group"):
+            validate_gg_morphism(identity, a, b)
+    with pytest.raises(MalformedStructure, match="arrow group"):
+        anchor_morphism(wrong)
