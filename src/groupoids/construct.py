@@ -15,6 +15,7 @@ from .grouptable import (
     direct_product_groups,
     noncommuting_pair,
     pair_token,
+    pair_token_table,
     trivial_group,
     validate_group,
 )
@@ -104,16 +105,17 @@ def pair_groupoid(objs: Iterable[str]) -> FiniteGroupoid:
     objects = frozenset(objs)
     if not objects:
         raise EmptySet("pair groupoid needs at least one object")
+    tok = pair_token_table(objects, objects)
     src = {}
     tgt = {}
     inv = {}
     for x, y in cartesian(objects, objects):
-        a = pair_token(x, y)
+        a = tok[x][y]
         src[a] = x
         tgt[a] = y
-        inv[a] = pair_token(y, x)
+        inv[a] = tok[y][x]
     prod = {
-        (pair_token(x, y), pair_token(y, z)): pair_token(x, z)
+        (tok[x][y], tok[y][z]): tok[x][z]
         for x, y, z in cartesian(objects, objects, objects)
     }
     return _verified(
@@ -122,7 +124,7 @@ def pair_groupoid(objs: Iterable[str]) -> FiniteGroupoid:
             arrows=frozenset(src),
             src=src,
             tgt=tgt,
-            unit={x: pair_token(x, x) for x in objects},
+            unit={x: tok[x][x] for x in objects},
             inv=inv,
             prod=prod,
         )
@@ -137,28 +139,33 @@ def direct_product_groupoids(
     With validate=False neither the factors nor the output are validated;
     that path exists so decision procedures can build the product of a
     not-yet-trusted structure without tripping over its own brokenness.
+    The factors must still be well formed (core.check_wellformed).
     """
     if validate:
         for part in (g, k):
             if not validate_groupoid(part).valid:
                 raise InvalidInput("direct product factors must be valid groupoids")
+    tok = pair_token_table(g.objects | g.arrows, k.objects | k.arrows)
     src = {}
     tgt = {}
     inv = {}
     unit = {}
     for x in g.arrows:
+        row, src_row, tgt_row, inv_row = tok[x], tok[g.src[x]], tok[g.tgt[x]], tok[g.inv[x]]
         for y in k.arrows:
-            a = pair_token(x, y)
-            src[a] = pair_token(g.src[x], k.src[y])
-            tgt[a] = pair_token(g.tgt[x], k.tgt[y])
-            inv[a] = pair_token(g.inv[x], k.inv[y])
+            a = row[y]
+            src[a] = src_row[k.src[y]]
+            tgt[a] = tgt_row[k.tgt[y]]
+            inv[a] = inv_row[k.inv[y]]
     for u in g.objects:
+        row, unit_row = tok[u], tok[g.unit[u]]
         for v in k.objects:
-            unit[pair_token(u, v)] = pair_token(g.unit[u], k.unit[v])
+            unit[row[v]] = unit_row[k.unit[v]]
     prod = {}
     for (x1, x2), xz in g.prod.items():
+        row1, row2, row_z = tok[x1], tok[x2], tok[xz]
         for (y1, y2), yz in k.prod.items():
-            prod[(pair_token(x1, y1), pair_token(x2, y2))] = pair_token(xz, yz)
+            prod[(row1[y1], row2[y2])] = row_z[yz]
     out = FiniteGroupoid(
         objects=frozenset(unit),
         arrows=frozenset(src),

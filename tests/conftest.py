@@ -2,6 +2,7 @@ import pytest
 
 from groupoids import (
     GroupGroupoid,
+    GroupTable,
     cyclic_group,
     direct_product_group_groupoids,
     direct_product_groups,
@@ -54,6 +55,37 @@ def s3_single_unit_control() -> GroupGroupoid:
     )
 
 
+def klein_on_z4_control() -> GroupGroupoid:
+    """Single-unit Z4 whose addition is the Klein group on the same tokens.
+
+    x+y is the bitwise xor of the digits.  Z4's negation swaps 1 and 3, a
+    Klein automorphism, so the structural and additivity reports pass, yet
+    interchange fails (Eckmann-Hilton: two operations with a common unit
+    that interchange coincide).  The x.y == x - unit(tgt x) + y half of the
+    interchange certificate is what rejects it.
+    """
+    z4 = cyclic_group(4)
+    toks = sorted(z4.elements)
+    klein = GroupTable(
+        z4.elements,
+        {(x, y): str(int(x) ^ int(y)) for x in toks for y in toks},
+        "0",
+        {x: x for x in toks},
+    )
+    return GroupGroupoid(
+        base=group_as_single_unit_groupoid(z4),
+        arrow_group=klein,
+        object_group=trivial_group("0"),
+    )
+
+
+def nonassociative_z4_table() -> GroupTable:
+    """Z4 with 2+3 set to 0: closed, identity and inverse laws hold, but
+    (1+1)+3 = 0 while 1+(1+3) = 1, so Light's test must reject it."""
+    z4 = cyclic_group(4)
+    return GroupTable(z4.elements, {**z4.op, ("2", "3"): "0"}, z4.identity, z4.inverse)
+
+
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, GroupGroupoid]:
     return build_corpus()
@@ -62,3 +94,13 @@ def corpus() -> dict[str, GroupGroupoid]:
 @pytest.fixture(scope="session")
 def s3_control() -> GroupGroupoid:
     return s3_single_unit_control()
+
+
+@pytest.fixture(scope="session")
+def klein_control() -> GroupGroupoid:
+    return klein_on_z4_control()
+
+
+@pytest.fixture(scope="session")
+def nonassociative_table() -> GroupTable:
+    return nonassociative_z4_table()

@@ -166,3 +166,20 @@ def test_hom_domain_checks():
 def test_cyclic_group_rejects_nonpositive():
     with pytest.raises(EmptySet):
         cyclic_group(0)
+
+
+def test_light_test_rejects_a_closed_nonassociative_table(nonassociative_table):
+    from groupoids.grouptable import _associativity_certificate
+
+    t = nonassociative_table
+    assert not _associativity_certificate(t)
+    elems = sorted(t.elements)
+    expected = sorted(
+        (x, y, z)
+        for x in elems for y in elems for z in elems
+        if t.op[(t.op[(x, y)], z)] != t.op[(x, t.op[(y, z)])]
+    )
+    report = validate_group(t)
+    assert report.rules() == ("associativity",)
+    assert [v.witness for v in report.violations] == expected
+    assert ("1", "1", "3") in expected

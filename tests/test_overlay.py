@@ -215,3 +215,19 @@ def test_unit_isotropy_agreement_messages(field, key, value, rule, witness, mess
     assert str(err.value) == (
         f"invalid group-groupoid: unit fibers are not subgroups: {fiber_rule}"
     )
+
+
+def test_klein_addition_on_single_unit_z4_fails_interchange(klein_control):
+    from groupoids.overlay import _interchange_certificate
+
+    assert structural_report(klein_control).valid
+    assert not _interchange_certificate(klein_control)
+    exhaustive = check_interchange(klein_control).violations
+    assert len(exhaustive) == 96
+    report = check_group_groupoid(klein_control, mode="both")
+    assert report.rules() == ("def31:add-map:M2-product", "def32:interchange")
+    assert [v.witness for v in report.by_rule("def32:interchange")] == [
+        v.witness for v in exhaustive
+    ]
+    verdicts = {n.rule: n.message for n in report.notes if n.status == "info"}
+    assert verdicts == {"def31": "verdict fail", "def32": "verdict fail"}

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupoids import (
     GroupGroupoid,
+    GroupTable,
     FiniteGroupoid,
     InternalCheckFailed,
     InvalidGroup,
@@ -37,10 +38,17 @@ from groupoids import (
     trivial_group,
     unit_fiber_subgroups,
     validate_gg_morphism,
+    validate_group,
     validate_groupoid,
 )
 
-from conftest import build_corpus
+import groupoids.grouptable as grouptable
+import groupoids.overlay as overlay
+from conftest import (
+    build_corpus,
+    klein_on_z4_control,
+    s3_single_unit_control,
+)
 
 ABELIAN_TABLES = (
     trivial_group(),
@@ -55,6 +63,7 @@ ABELIAN_TABLES = (
 ALL_TABLES = ABELIAN_TABLES + (symmetric_group(3),)
 
 CORPUS = tuple(build_corpus().values())
+CONTROLS = (s3_single_unit_control(), klein_on_z4_control())
 
 
 SHAPES = {
@@ -233,6 +242,48 @@ def test_definitions_agree_on_arbitrary_mutations(gg):
         check_group_groupoid(gg, mode="both")
     except InternalCheckFailed as exc:  # pragma: no cover - the property itself
         raise AssertionError(f"definitions disagreed: {exc}") from exc
+
+
+def _certified_reports(gg: GroupGroupoid) -> list:
+    reports = [check_group_groupoid(gg, mode=mode) for mode in ("def31", "def32", "both")]
+    reports += [validate_group(gg.arrow_group), validate_group(gg.object_group)]
+    return [report.to_dict() for report in reports]
+
+
+@given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated()))
+@settings(max_examples=120, deadline=None)
+def test_certificates_only_accept(gg):
+    # with both certificates refusing, every law is enumerated in full
+    fast = _certified_reports(gg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grouptable, "_associativity_certificate", lambda table: False)
+        mp.setattr(overlay, "_interchange_certificate", lambda gg: False)
+        assert _certified_reports(gg) == fast
+
+
+class _CountingOp(dict):
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("gg", CORPUS + (group_pair_groupoid(symmetric_group(3)),))
+def test_valid_input_takes_the_fast_paths(gg, monkeypatch):
+    def exhaustive(gg):
+        raise AssertionError("check_interchange ran on valid input")
+
+    monkeypatch.setattr(overlay, "check_interchange", exhaustive)
+    assert check_group_groupoid(gg, mode="def32").valid
+    assert check_group_groupoid(gg, mode="both").valid
+    a = gg.arrow_group
+    counted = GroupTable(a.elements, _CountingOp(a.op), a.identity, a.inverse)
+    assert validate_group(counted).valid
+    m = len(a.elements)
+    # building the index table reads each entry once; the identity and
+    # inverse laws read 4 per element; the triple loop would read 4 m^3
+    assert counted.op.lookups <= m * m + 4 * m
 
 
 @given(group_groupoids())

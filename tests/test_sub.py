@@ -19,6 +19,7 @@ from groupoids import (
     pair_groupoid,
     pair_token,
     single_unit_group_groupoid,
+    symmetric_group,
     trivial_group,
     unit_fiber_subgroups,
     validate_gg_morphism,
@@ -152,3 +153,12 @@ def test_a_table_over_the_wrong_set_is_malformed_not_a_key_error():
             validate_gg_morphism(identity, a, b)
     with pytest.raises(MalformedStructure, match="arrow group"):
         anchor_morphism(wrong)
+
+
+def test_anchor_of_null_s4_finishes():
+    # the target group-pair S_4 has 576 arrows and ~1.9e8 interchange
+    # quadruples, which only the interchange certificate keeps affordable
+    gg = null_group_groupoid(symmetric_group(4))
+    m = anchor_morphism(gg)  # raises unless the result is a valid morphism
+    assert m.f == {x: pair_token(x, x) for x in gg.base.arrows}
+    assert m.f0 == {u: u for u in gg.base.objects}
