@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from groupoids import (
@@ -27,6 +29,13 @@ def mutate_base(gg, field, key, value):
                   unit=dict(g.unit), inv=dict(g.inv), prod=dict(g.prod))
     fields[field][key] = value
     return GroupGroupoid(FiniteGroupoid(**fields), gg.arrow_group, gg.object_group)
+
+
+def mutate_table(gg, which, field, key, value):
+    """gg with one op or inverse entry of its arrow_group or object_group replaced."""
+    table = getattr(gg, which)
+    changed = replace(table, **{field: {**getattr(table, field), key: value}})
+    return replace(gg, **{which: changed})
 
 
 def test_both_modes_pass_on_group_pair():
@@ -231,3 +240,65 @@ def test_klein_addition_on_single_unit_z4_fails_interchange(klein_control):
     ]
     verdicts = {n.rule: n.message for n in report.notes if n.status == "info"}
     assert verdicts == {"def31": "verdict fail", "def32": "verdict fail"}
+
+
+DERIVED_BASES = {
+    "group-pair Z2": lambda: group_pair_groupoid(cyclic_group(2)),
+    "group-pair Z3": lambda: group_pair_groupoid(cyclic_group(3)),
+    "null Z3": lambda: null_group_groupoid(cyclic_group(3)),
+}
+
+# one single-entry mutant per derived-identity rule whose output no other test
+# pins: base, mutated part, field, key, value, rule, violation count, and the
+# first witness with its message
+DERIVED_CASES = [
+    ("null Z3", "base", "prod", ("1", "1"), "0", "negation-product-compat", 2,
+     ("1", "1"), "(-1).(-1) = 2 but -(1.1) = 0"),
+    ("group-pair Z2", "base", "src", "(0|0)", "1", "identity-arrow-endpoints", 1,
+     ("(0|0)",), "identity arrow has endpoints (1,0), expected (0,0)"),
+    ("group-pair Z2", "base", "unit", "0", "(0|1)", "unit-of-identity", 1,
+     ("0",), "unit(0) = (0|1), expected (0|0)"),
+    ("group-pair Z2", "base", "inv", "(0|0)", "(0|1)", "inversion-fixes-identity", 1,
+     ("(0|0)",), "inv((0|0)) = (0|1)"),
+    ("group-pair Z3", "base", "src", "(0|1)", "1", "source-of-negation", 2,
+     ("(0|1)",), "src(-(0|1)) = 0, expected -src((0|1))"),
+    ("group-pair Z3", "base", "tgt", "(0|1)", "2", "target-of-negation", 2,
+     ("(0|1)",), "tgt(-(0|1)) = 2, expected -tgt((0|1))"),
+    ("group-pair Z3", "base", "inv", "(0|1)", "(0|0)", "inversion-of-negation", 2,
+     ("(0|1)",), "inv(-(0|1)) = (2|0) but -inv((0|1)) = (0|0)"),
+    ("group-pair Z3", "base", "unit", "1", "(0|0)", "unit-of-negation", 2,
+     ("1",), "unit(-1) = (2|2) but -unit(1) = (0|0)"),
+    ("group-pair Z2", "arrow_group", "inverse", "(0|1)", "(0|0)", "negation-involution", 1,
+     ("(0|1)",), "-(-(0|1)) = (0|0)"),
+    ("group-pair Z3", "arrow_group", "op", ("(1|2)", "(2|1)"), "(0|1)",
+     "negation-antidistributes", 1,
+     ("(1|2)", "(2|1)"), "-((1|2)+(2|1)) != (-(2|1))+(-(1|2))"),
+    ("group-pair Z3", "arrow_group", "op", ("(1|2)", "(1|2)"), "(0|1)",
+     "negation-distributes", 2,
+     ("(1|2)", "(1|2)"), "-((1|2)+(1|2)) != (-(1|2))+(-(1|2))"),
+    ("group-pair Z2", "base", "src", "(1|1)", "0", "identity-left-neutral", 1,
+     ("(1|1)",), "(0|0).(1|1) = None"),
+    ("group-pair Z2", "base", "tgt", "(1|1)", "0", "identity-right-neutral", 1,
+     ("(1|1)",), "(1|1).(0|0) = None"),
+    ("group-pair Z2", "base", "prod", ("(0|1)", "(1|0)"), "(0|1)", "shift-by-source-fiber", 2,
+     ("(0|1)", "(1|0)", "(0|1)"), "x.(y+t) = (0|1) but (x.y)+t = (0|0)"),
+    ("group-pair Z2", "base", "prod", ("(0|1)", "(1|0)"), "(0|1)", "shift-by-target-fiber", 2,
+     ("(0|1)", "(1|0)", "(1|0)"), "(x+z).y = (1|0) but (x.y)+z = (1|1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, where, field, key, value, rule, count, witness, message",
+    DERIVED_CASES,
+    ids=[case[5] for case in DERIVED_CASES],
+)
+def test_derived_identity_messages(base, where, field, key, value, rule, count, witness,
+                                   message):
+    gg = DERIVED_BASES[base]()
+    if where == "base":
+        bad = mutate_base(gg, field, key, value)
+    else:
+        bad = mutate_table(gg, where, field, key, value)
+    found = check_derived_identities(bad).by_rule(rule)
+    assert len(found) == count
+    assert (found[0].witness, found[0].message) == (witness, message)
