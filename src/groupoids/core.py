@@ -333,7 +333,9 @@ def structure_identities(g: FiniteGroupoid) -> ValidationReport:
     and products inverting contravariantly.  For a transitive groupoid whose
     isotropy groups have order at most ISO_SEARCH_CAP, also checks that they
     are pairwise isomorphic (by brute-force search, independent of
-    conjugation); above the cap that check is skipped with a note.
+    conjugation); above the cap that check is skipped with a note.  An
+    isotropy that is not a group is reported at its object instead, and the
+    comparison is then skipped.
 
     Expects a groupoid that already passed validate_groupoid; on broken input
     the product lookups may be undefined, which is reported rather than raised.
@@ -383,24 +385,27 @@ def structure_identities(g: FiniteGroupoid) -> ValidationReport:
 
     if not is_transitive(g):
         rb.note("isotropy-isomorphic", "not-applicable", "groupoid is not transitive")
-    else:
-        tables = {u: isotropy_group(g, u) for u in objects}
-        biggest = max(len(t.elements) for t in tables.values())
-        if biggest > ISO_SEARCH_CAP:
-            rb.note(
-                "isotropy-isomorphic",
-                "skipped",
-                f"isotropy order {biggest} exceeds the search cap {ISO_SEARCH_CAP}",
-            )
-        else:
-            base = objects[0]
-            for u in objects[1:]:
-                if find_isomorphism(tables[base], tables[u]) is None:
-                    rb.violation(
-                        "isotropy-isomorphic",
-                        (base, u),
-                        "isotropy groups are not isomorphic",
-                    )
+        return rb.build()
+    tables = {}
+    for u in objects:
+        try:
+            tables[u] = isotropy_group(g, u)
+        except InternalCheckFailed as exc:
+            rb.violation("isotropy-isomorphic", (u,), str(exc))
+    if len(tables) < len(objects):
+        return rb.build()
+    biggest = max(len(t.elements) for t in tables.values())
+    if biggest > ISO_SEARCH_CAP:
+        rb.note(
+            "isotropy-isomorphic",
+            "skipped",
+            f"isotropy order {biggest} exceeds the search cap {ISO_SEARCH_CAP}",
+        )
+        return rb.build()
+    base = objects[0]
+    for u in objects[1:]:
+        if find_isomorphism(tables[base], tables[u]) is None:
+            rb.violation("isotropy-isomorphic", (base, u), "isotropy groups are not isomorphic")
     return rb.build()
 
 

@@ -81,8 +81,11 @@ def check_table_wellformed(table: GroupTable) -> None:
         raise MalformedTable("a group table needs at least its identity element")
     if table.identity not in elements:
         raise MalformedTable(f"identity '{table.identity}' is not a declared element")
-    expected = {(x, y) for x in elements for y in elements}
-    if set(table.op) != expected:
+    # m*m distinct keys, each a pair of elements, are exactly all m*m pairs
+    if len(table.op) != len(elements) ** 2 or not all(
+        isinstance(k, tuple) and len(k) == 2 and k[0] in elements and k[1] in elements
+        for k in table.op
+    ):
         raise MalformedTable("op must be keyed by exactly all ordered element pairs")
     if set(table.inverse) != set(elements):
         raise MalformedTable("inverse must be keyed by exactly the elements")

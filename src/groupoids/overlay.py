@@ -126,18 +126,23 @@ def check_interchange(gg: GroupGroupoid) -> ValidationReport:
     return rb.build()
 
 
-def _additivity_report(gg: GroupGroupoid) -> ValidationReport:
-    """source/target/inversion/unit must each be a group homomorphism."""
+def _structure_maps(gg: GroupGroupoid) -> tuple:
+    """Source, target, inversion and unit as (word, name, map, domain, codomain)."""
     g = gg.base
     A, O = gg.arrow_group, gg.object_group
+    return (
+        ("source", "src", g.src, A, O),
+        ("target", "tgt", g.tgt, A, O),
+        ("inversion", "inv", g.inv, A, A),
+        ("unit", "unit", g.unit, O, A),
+    )
+
+
+def _additivity_report(gg: GroupGroupoid) -> ValidationReport:
+    """Each of the four structure maps must be a group homomorphism."""
     rb = ReportBuilder()
-    for rule, name, h, dom, cod in (
-        ("source-additive", "src", g.src, A, O),
-        ("target-additive", "tgt", g.tgt, A, O),
-        ("inversion-additive", "inv", g.inv, A, A),
-        ("unit-additive", "unit", g.unit, O, A),
-    ):
-        rb.absorb(additivity_report(rule, name, h, dom, cod))
+    for word, name, h, dom, cod in _structure_maps(gg):
+        rb.absorb(additivity_report(f"{word}-additive", name, h, dom, cod))
     return rb.build()
 
 
@@ -271,12 +276,13 @@ def check_group_groupoid(gg: GroupGroupoid, mode: str = "both") -> ValidationRep
 def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
     """Exhaustively verify the identities a valid group-groupoid must satisfy.
 
-    Additivity of the four structure maps, compatibility of negation with the
-    partial product, endpoints and units of the group identity and of negated
-    elements, negation being an antihomomorphic involution (plain distribution
-    is checked only when both groups are commutative, otherwise reported
-    not-applicable with a witness), neutrality and translation laws on the
-    unit fibers, and the unit-object isotropy group agreeing with addition.
+    The four structure maps (_structure_maps) respecting addition and
+    negation, compatibility of negation with the partial product, endpoints
+    and unit of the group identity, negation being an antihomomorphic
+    involution (plain distribution is checked only when both groups are
+    commutative, otherwise reported not-applicable with a witness),
+    neutrality and translation laws on the unit fibers, and the unit-object
+    isotropy group agreeing with addition.
     A product outside its group's element set is reported as closure only.
     """
     check_wellformed_gg(gg)
@@ -285,17 +291,16 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
     O = gg.object_group
     e = A.identity
     e0 = O.identity
+    neg = A.inverse
     rb = ReportBuilder()
     if not closure_gate(rb, "derived-identities", {"arrow-group:": A, "object-group:": O}):
         return rb.build()
-    arrows = sorted(g.arrows)
-    objects = sorted(g.objects)
     rb.absorb(_additivity_report(gg))
 
     stored = [p for p in g.composable_pairs() if p in g.prod]
     for x, y in stored:
-        lhs = g.prod.get((A.inverse[x], A.inverse[y]))
-        rhs = A.inverse[g.prod[(x, y)]]
+        lhs = g.prod.get((neg[x], neg[y]))
+        rhs = neg[g.prod[(x, y)]]
         if lhs is None or lhs != rhs:
             rb.violation(
                 "negation-product-compat",
@@ -314,42 +319,15 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
     if g.inv[e] != e:
         rb.violation("inversion-fixes-identity", (e,), f"inv({e}) = {g.inv[e]}")
 
-    for x in arrows:
-        nx = A.inverse[x]
-        if g.src[nx] != O.inverse[g.src[x]]:
-            rb.violation(
-                "source-of-negation", (x,), f"src(-{x}) = {g.src[nx]}, expected -src({x})"
-            )
-        if g.tgt[nx] != O.inverse[g.tgt[x]]:
-            rb.violation(
-                "target-of-negation", (x,), f"tgt(-{x}) = {g.tgt[nx]}, expected -tgt({x})"
-            )
-        if g.inv[nx] != A.inverse[g.inv[x]]:
-            rb.violation(
-                "inversion-of-negation",
-                (x,),
-                f"inv(-{x}) = {g.inv[nx]} but -inv({x}) = {A.inverse[g.inv[x]]}",
-            )
-        if A.inverse[nx] != x:
-            rb.violation("negation-involution", (x,), f"-(-{x}) = {A.inverse[nx]}")
-
-    for u in objects:
-        if g.unit[O.inverse[u]] != A.inverse[g.unit[u]]:
-            rb.violation(
-                "unit-of-negation",
-                (u,),
-                f"unit(-{u}) = {g.unit[O.inverse[u]]} but -unit({u}) = "
-                f"{A.inverse[g.unit[u]]}",
-            )
-
-    for x in arrows:
-        for y in arrows:
-            if A.inverse[A.op[(x, y)]] != A.op[(A.inverse[y], A.inverse[x])]:
-                rb.violation(
-                    "negation-antidistributes",
-                    (x, y),
-                    f"-({x}+{y}) != (-{y})+(-{x})",
-                )
+    for word, name, h, dom, cod in _structure_maps(gg):
+        for x, nx in dom.inverse.items():
+            lhs, rhs = h[nx], cod.inverse[h[x]]
+            if lhs != rhs:
+                msg = f"{name}(-{x}) = {lhs} but -{name}({x}) = {rhs}"
+                rb.violation(f"{word}-of-negation", (x,), msg)
+    for x, nx in neg.items():
+        if neg[nx] != x:
+            rb.violation("negation-involution", (x,), f"-(-{x}) = {neg[nx]}")
 
     witness, which = noncommuting_pair(A), "arrow group"
     if witness is None:
@@ -360,15 +338,12 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
             "not-applicable",
             f"{which} is not commutative (witness {witness[0]},{witness[1]})",
         )
-    else:
-        for x in arrows:
-            for y in arrows:
-                if A.inverse[A.op[(x, y)]] != A.op[(A.inverse[x], A.inverse[y])]:
-                    rb.violation(
-                        "negation-distributes",
-                        (x, y),
-                        f"-({x}+{y}) != (-{x})+(-{y})",
-                    )
+    for (x, y), s in A.op.items():
+        ns, nx, ny = neg[s], neg[x], neg[y]
+        if ns != A.op[(ny, nx)]:
+            rb.violation("negation-antidistributes", (x, y), f"-({x}+{y}) != (-{y})+(-{x})")
+        if witness is None and ns != A.op[(nx, ny)]:
+            rb.violation("negation-distributes", (x, y), f"-({x}+{y}) != (-{x})+(-{y})")
 
     src_fiber = g.fibers.get(("source", e0), ())
     tgt_fiber = g.fibers.get(("target", e0), ())

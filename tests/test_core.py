@@ -214,6 +214,17 @@ def test_structure_identities_isotropy_note_when_intransitive():
     )
 
 
+def test_structure_identities_reports_an_isotropy_that_is_not_a_group():
+    g = group_as_single_unit_groupoid(cyclic_group(4))
+    broken = rebuild(g, inv={**g.inv, "1": "1"})
+    report = structure_identities(broken)
+    found = report.by_rule("isotropy-isomorphic")
+    assert [(v.witness, v.message) for v in found] == [
+        (("0",), "isotropy at 0 is not a group: left-inverse at 1")
+    ]
+    assert not any(n.rule == "isotropy-isomorphic" for n in report.notes)
+
+
 def test_identity_morphism_is_valid():
     g = pair_groupoid(["a", "b"])
     m = Morphism(g, g, {x: x for x in g.arrows}, {u: u for u in g.objects})

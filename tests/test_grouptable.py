@@ -145,12 +145,16 @@ def test_wellformedness_errors():
         validate_group(GroupTable(frozenset(), {}, "0", {}))
     with pytest.raises(MalformedTable):
         validate_group(GroupTable(z2.elements, z2.op, "7", z2.inverse))
-    op = dict(z2.op)
-    del op[("1", "1")]
-    with pytest.raises(MalformedTable):
-        validate_group(GroupTable(z2.elements, op, "0", z2.inverse))
     with pytest.raises(MalformedTable):
         validate_group(GroupTable(z2.elements, z2.op, "0", {"0": "0", "1": "9"}))
+    # op keys: a missing pair, an extra pair, and a pair replaced by one
+    # outside the elements, by a str or by a 3-tuple
+    op = dict(z2.op)
+    del op[("1", "1")]
+    for bad_op in (op, {**z2.op, ("1", "9"): "0"}, {**op, ("1", "9"): "0"},
+                   {**op, "11": "0"}, {**op, ("1", "1", "1"): "0"}):
+        with pytest.raises(MalformedTable, match="op must be keyed by exactly all ordered"):
+            validate_group(GroupTable(z2.elements, bad_op, "0", z2.inverse))
 
 
 def test_hom_domain_checks():

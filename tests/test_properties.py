@@ -244,6 +244,17 @@ def test_definitions_agree_on_arbitrary_mutations(gg):
         raise AssertionError(f"definitions disagreed: {exc}") from exc
 
 
+@given(mutated())
+@settings(max_examples=150, deadline=None)
+def test_identity_checks_report_and_never_raise(gg):
+    for report in (
+        structure_identities(gg.base),
+        check_derived_identities(gg),
+        reconstruct_from_group(gg),
+    ):
+        assert isinstance(report, ValidationReport)
+
+
 def _certified_reports(gg: GroupGroupoid) -> list:
     reports = [check_group_groupoid(gg, mode=mode) for mode in ("def31", "def32", "both")]
     reports += [validate_group(gg.arrow_group), validate_group(gg.object_group)]
