@@ -1,7 +1,10 @@
 """The standard constructions: null, single-unit, pair, and direct products.
 
-Constructors check their output with validate_groupoid (groupoids) or
-check_group_groupoid in mode def32 (group-groupoids); tests cross-check def31.
+Each shape has one unchecked builder (_null, _single_unit, _pair, _product).
+A public constructor checks its inputs, builds, and checks only the structure
+it returns, once: validate_groupoid for a groupoid, check_group_groupoid in
+mode def32 (which validates the base) for a group-groupoid.  Tests
+cross-check def31.
 """
 
 from __future__ import annotations
@@ -63,40 +66,61 @@ def _require_group(table: GroupTable) -> None:
     report.require(InvalidGroup, "not a group")
 
 
+def _null(objects: frozenset[str]) -> FiniteGroupoid:
+    ident = {u: u for u in objects}
+    return FiniteGroupoid(
+        objects=objects,
+        arrows=objects,
+        src=dict(ident),
+        tgt=dict(ident),
+        unit=dict(ident),
+        inv=dict(ident),
+        prod={(u, u): u for u in objects},
+    )
+
+
 def null_groupoid(objs: Iterable[str]) -> FiniteGroupoid:
     """Only unit arrows: every object is its own arrow and composes with itself."""
     objects = frozenset(objs)
     if not objects:
         raise EmptySet("null groupoid needs at least one object")
-    ident = {u: u for u in objects}
-    return _verified(
-        FiniteGroupoid(
-            objects=objects,
-            arrows=objects,
-            src=dict(ident),
-            tgt=dict(ident),
-            unit=dict(ident),
-            inv=dict(ident),
-            prod={(u, u): u for u in objects},
-        )
+    return _verified(_null(objects))
+
+
+def _single_unit(table: GroupTable) -> FiniteGroupoid:
+    e = table.identity
+    const = {x: e for x in table.elements}
+    return FiniteGroupoid(
+        objects=frozenset({e}),
+        arrows=table.elements,
+        src=const,
+        tgt=dict(const),
+        unit={e: e},
+        inv=dict(table.inverse),
+        prod=dict(table.op),
     )
 
 
 def group_as_single_unit_groupoid(table: GroupTable) -> FiniteGroupoid:
     """One object (the group identity); arrows are the elements, product is the op."""
     _require_group(table)
-    e = table.identity
-    const = {x: e for x in table.elements}
-    return _verified(
-        FiniteGroupoid(
-            objects=frozenset({e}),
-            arrows=table.elements,
-            src=const,
-            tgt=dict(const),
-            unit={e: e},
-            inv=dict(table.inverse),
-            prod=dict(table.op),
-        )
+    return _verified(_single_unit(table))
+
+
+def _pair(objects: frozenset[str]) -> FiniteGroupoid:
+    tok = pair_token_table(objects, objects)
+    arrows = [(tok[x][y], x, y) for x, y in cartesian(objects, objects)]
+    return FiniteGroupoid(
+        objects=objects,
+        arrows=frozenset(a for a, _, _ in arrows),
+        src={a: x for a, x, _ in arrows},
+        tgt={a: y for a, _, y in arrows},
+        unit={x: tok[x][x] for x in objects},
+        inv={a: tok[y][x] for a, x, y in arrows},
+        prod={
+            (tok[x][y], tok[y][z]): tok[x][z]
+            for x, y, z in cartesian(objects, objects, objects)
+        },
     )
 
 
@@ -105,46 +129,15 @@ def pair_groupoid(objs: Iterable[str]) -> FiniteGroupoid:
     objects = frozenset(objs)
     if not objects:
         raise EmptySet("pair groupoid needs at least one object")
-    tok = pair_token_table(objects, objects)
-    src = {}
-    tgt = {}
-    inv = {}
-    for x, y in cartesian(objects, objects):
-        a = tok[x][y]
-        src[a] = x
-        tgt[a] = y
-        inv[a] = tok[y][x]
-    prod = {
-        (tok[x][y], tok[y][z]): tok[x][z]
-        for x, y, z in cartesian(objects, objects, objects)
-    }
-    return _verified(
-        FiniteGroupoid(
-            objects=objects,
-            arrows=frozenset(src),
-            src=src,
-            tgt=tgt,
-            unit={x: tok[x][x] for x in objects},
-            inv=inv,
-            prod=prod,
-        )
-    )
+    return _verified(_pair(objects))
 
 
-def direct_product_groupoids(
-    g: FiniteGroupoid, k: FiniteGroupoid, validate: bool = True
-) -> FiniteGroupoid:
+def _product(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
     """Componentwise structure on pair tokens; pairs compose iff both components do.
 
-    With validate=False neither the factors nor the output are validated;
-    that path exists so decision procedures can build the product of a
-    not-yet-trusted structure without tripping over its own brokenness.
-    The factors must still be well formed (core.check_wellformed).
+    The factors must be well formed (core.check_wellformed), not valid: def31
+    builds the product of a structure it has yet to decide.
     """
-    if validate:
-        for part in (g, k):
-            if not validate_groupoid(part).valid:
-                raise InvalidInput("direct product factors must be valid groupoids")
     tok = pair_token_table(g.objects | g.arrows, k.objects | k.arrows)
     src = {}
     tgt = {}
@@ -166,7 +159,7 @@ def direct_product_groupoids(
         row1, row2, row_z = tok[x1], tok[x2], tok[xz]
         for (y1, y2), yz in k.prod.items():
             prod[(row1[y1], row2[y2])] = row_z[yz]
-    out = FiniteGroupoid(
+    return FiniteGroupoid(
         objects=frozenset(unit),
         arrows=frozenset(src),
         src=src,
@@ -175,7 +168,14 @@ def direct_product_groupoids(
         inv=inv,
         prod=prod,
     )
-    return _verified(out) if validate else out
+
+
+def direct_product_groupoids(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
+    """The componentwise product of two valid groupoids (InvalidInput otherwise)."""
+    for part in (g, k):
+        if not validate_groupoid(part).valid:
+            raise InvalidInput("direct product factors must be valid groupoids")
+    return _verified(_product(g, k))
 
 
 def null_group_groupoid(table: GroupTable) -> GroupGroupoid:
@@ -183,7 +183,7 @@ def null_group_groupoid(table: GroupTable) -> GroupGroupoid:
     _require_group(table)
     return _verified_gg(
         GroupGroupoid(
-            base=null_groupoid(table.elements),
+            base=_null(table.elements),
             arrow_group=table,
             object_group=table,
         )
@@ -196,7 +196,7 @@ def single_unit_group_groupoid(table: GroupTable) -> GroupGroupoid:
     Commutativity is required: for a non-commutative table the interchange law
     already fails, and the witness pair is reported in the error.
     """
-    base = group_as_single_unit_groupoid(table)
+    _require_group(table)
     witness = noncommuting_pair(table)
     if witness is not None:
         raise NonCommutativeGroup(
@@ -206,7 +206,7 @@ def single_unit_group_groupoid(table: GroupTable) -> GroupGroupoid:
         )
     return _verified_gg(
         GroupGroupoid(
-            base=base,
+            base=_single_unit(table),
             arrow_group=table,
             object_group=trivial_group(table.identity),
         )
@@ -218,7 +218,7 @@ def group_pair_groupoid(table: GroupTable) -> GroupGroupoid:
     _require_group(table)
     return _verified_gg(
         GroupGroupoid(
-            base=pair_groupoid(table.elements),
+            base=_pair(table.elements),
             arrow_group=direct_product_groups(table, table),
             object_group=table,
         )
@@ -236,7 +236,7 @@ def direct_product_group_groupoids(
     for part in (a, b):
         if not check_group_groupoid(part, mode="def32").valid:
             raise InvalidInput("direct product factors must be valid group-groupoids")
-    base = direct_product_groupoids(a.base, b.base, validate=False)
+    base = _product(a.base, b.base)
     product = GroupGroupoid(
         base=base,
         arrow_group=direct_product_groups(a.arrow_group, b.arrow_group),

@@ -426,9 +426,9 @@ def validate_morphism(m: Morphism) -> ValidationReport:
     M2: f maps each stored product to the product of the images (the image
     pair must itself be composable).
 
-    Afterwards the unit and inverse compatibilities are checked as well; they
-    are consequences of M1+M2 for valid groupoids, so when the M-checks are
-    clean a failure is flagged as an internal inconsistency.
+    Afterwards the unit and inverse compatibilities are checked as well.  They
+    follow from M1+M2 only when both groupoids are valid, which this function
+    does not check, so a failure is reported like any other violation.
     """
     s, t = m.source, m.target
     if set(m.f) != set(s.arrows):
@@ -467,8 +467,6 @@ def validate_morphism(m: Morphism) -> ValidationReport:
                 "M2-product", (x, y), f"f({x}.{y}) = {m.f[xy]} but f({x}).f({y}) = {image}"
             )
 
-    clean = rb.clean
-    tag = "internal inconsistency: " if clean else ""
     for u in sorted(s.objects):
         lhs = m.f[s.unit[u]]
         rhs = t.unit[m.f0[u]]
@@ -476,7 +474,7 @@ def validate_morphism(m: Morphism) -> ValidationReport:
             rb.violation(
                 "unit-compatibility",
                 (u,),
-                f"{tag}f(unit({u})) = {lhs} but unit(f0({u})) = {rhs}",
+                f"f(unit({u})) = {lhs} but unit(f0({u})) = {rhs}",
             )
     for x in sorted(s.arrows):
         lhs = m.f[s.inv[x]]
@@ -485,6 +483,6 @@ def validate_morphism(m: Morphism) -> ValidationReport:
             rb.violation(
                 "inverse-compatibility",
                 (x,),
-                f"{tag}f(inv({x})) = {lhs} but inv(f({x})) = {rhs}",
+                f"f(inv({x})) = {lhs} but inv(f({x})) = {rhs}",
             )
     return rb.build()

@@ -175,6 +175,8 @@ def _pair_mapping(entries, domain: set[str], what: str) -> dict[tuple[str, str],
 def _single(entries, kind_line: int, what: str) -> str:
     if not entries:
         raise StructureSyntaxError(f"missing section '{what}'", kind_line)
+    if len(entries) > 1 and entries[1][0] == entries[0][0]:
+        raise StructureSyntaxError(f"section '{what}' takes one identifier", entries[0][0])
     if len(entries) > 1:
         raise DuplicateDeclaration(f"section '{what}' given twice", entries[1][0])
     return entries[0][1]

@@ -192,12 +192,12 @@ def _def32_report(gg: GroupGroupoid, structure_valid: bool) -> ValidationReport:
 def _morphism_based_report(gg: GroupGroupoid) -> ValidationReport:
     # imported here: construct builds on this module, so a top-level import
     # would be circular
-    from .construct import direct_product_groupoids, null_groupoid
+    from .construct import _null, _product
 
     g = gg.base
-    doubled = direct_product_groupoids(g, g, validate=False)
+    doubled = _product(g, g)
     point = "*"
-    one_point = null_groupoid([point])
+    one_point = _null(frozenset([point]))
 
     arrows = sorted(g.arrows)
     objects = sorted(g.objects)

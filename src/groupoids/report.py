@@ -134,10 +134,6 @@ class ReportBuilder:
         self._violations: list[Violation] = []
         self._notes: list[Note] = []
 
-    @property
-    def clean(self) -> bool:
-        return not self._violations
-
     def violation(self, rule: str, witness, message: str) -> None:
         self._violations.append(
             Violation(rule, tuple(str(w) for w in witness), message)

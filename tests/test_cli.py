@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -50,6 +51,21 @@ def test_check_negative_control(s3_control_file, capsys):
     assert out.startswith("FAIL")
     assert "interchange" in out
     assert "012, 021, 102, 012" in out  # a concrete witness quadruple
+
+
+def test_def31_reports_a_broken_inverse_as_a_plain_violation(tmp_path, capsys):
+    # the unit and inverse laws of a morphism follow from M1+M2 only on valid
+    # groupoids, and def31 runs on a base that is not
+    gg = group_pair_groupoid(cyclic_group(2))
+    path = tmp_path / "bad-inverse.gpd"
+    base = replace(gg.base, inv={**gg.base.inv, "(0|1)": "(0|0)"})
+    path.write_text(emit_structure_file(replace(gg, base=base)), encoding="utf-8")
+    assert run_command(["check", str(path), "--mode", "def31"]) == 1
+    out = capsys.readouterr().out
+    assert "base:G3-left-inverse" in out
+    assert ("def31:add-map:inverse-compatibility: 6 violation(s)\n"
+            "  at (((0|1)|(1|0))): f(inv(((0|1)|(1|0)))) = (0|1)"
+            " but inv(f(((0|1)|(1|0)))) = (1|1)\n") in out
 
 
 def test_parse_error_exit_code(broken_file, capsys):
@@ -116,6 +132,15 @@ def test_construct_product(tmp_path, capsys):
     assert run_command(["construct", "product", str(a), str(b)]) == 0
     sf = parse_structure_file(capsys.readouterr().out)
     assert len(sf.structure.base.arrows) == 36
+
+    good = tmp_path / "good.gpd"
+    broken = tmp_path / "broken.gpd"
+    assert run_command(["construct", "pair", "--objects", "u", "v",
+                        "--output", str(good)]) == 0
+    g = parse_structure_file(good.read_text()).structure
+    broken.write_text(emit_structure_file(replace(g, inv={**g.inv, "(u|v)": "(u|u)"})))
+    assert run_command(["construct", "product", str(good), str(broken)]) == 2
+    assert "factors must be valid groupoids" in capsys.readouterr().err
 
 
 def test_construct_rejects_noncommutative_single_unit(capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from groupoids import (
@@ -105,6 +107,10 @@ def test_product_rejects_invalid_factor(s3_control):
     good = null_group_groupoid(cyclic_group(2))
     with pytest.raises(InvalidInput):
         direct_product_group_groupoids(s3_control, good)
+    pair = pair_groupoid(["u", "v"])
+    broken = replace(pair, inv={**pair.inv, "(u|v)": "(u|u)"})
+    with pytest.raises(InvalidInput):
+        direct_product_groupoids(pair, broken)
 
 
 def test_constructors_reject_broken_tables():
@@ -128,12 +134,27 @@ def test_constructors_check_their_output_in_def32_only(monkeypatch):
         raise AssertionError("a constructor ran def31")
 
     monkeypatch.setattr("groupoids.overlay._morphism_based_report", refuse)
+    calls = []
+
+    def counted(g, **kwargs):
+        calls.append(g)
+        return validate_groupoid(g, **kwargs)
+
+    for module in ("groupoids.construct", "groupoids.overlay"):
+        monkeypatch.setattr(f"{module}.validate_groupoid", counted)
     z2 = cyclic_group(2)
-    null = null_group_groupoid(z2)
-    single_unit_group_groupoid(cyclic_group(4))
+
+    def checks(build) -> int:
+        calls.clear()
+        build()
+        return len(calls)
+
+    assert checks(lambda: null_group_groupoid(z2)) == 1
+    assert checks(lambda: single_unit_group_groupoid(cyclic_group(4))) == 1
+    assert checks(lambda: group_pair_groupoid(z2)) == 1
     pair = group_pair_groupoid(z2)
-    direct_product_group_groupoids(pair, null)
-    anchor_morphism(pair)
+    direct_product_group_groupoids(pair, null_group_groupoid(z2))
+    assert checks(lambda: anchor_morphism(pair)) == 1
 
 
 def test_constructor_rejects_its_own_invalid_output(monkeypatch):

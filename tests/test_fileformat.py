@@ -121,8 +121,12 @@ def test_missing_required_sections():
 
 def test_single_valued_sections_cannot_repeat():
     gg_text = emit_structure_file(group_pair_groupoid(cyclic_group(2)))
-    with pytest.raises(DuplicateDeclaration):
+    with pytest.raises(DuplicateDeclaration, match="section 'arrow_group_id' given twice"):
         parse_structure_file(gg_text + "arrow_group_id: (0|0)\n")
+    group = "kind: group\nelements: e f\nop: e.e=e e.f=f f.e=f f.f=e\ninv: e=e f=f\n"
+    with pytest.raises(StructureSyntaxError, match="line 5: section 'id' takes one identifier"):
+        parse_structure_file(group + "id: e f\n")
+    assert line_of(DuplicateDeclaration, group + "id: e\nid: f\n") == 6
 
 
 def test_emit_rejects_unwritable_tokens():
