@@ -1,6 +1,6 @@
 """The standard constructions: null, single-unit, pair, and direct products.
 
-Each shape has one unchecked builder (_null, _single_unit, _pair, _product).
+Each shape has one builder in core (_null, _single_unit, _pair, _product).
 A public constructor checks its inputs, builds, and checks only the structure
 it returns, once: validate_groupoid for a groupoid, check_group_groupoid in
 mode def32 (which validates the base) for a group-groupoid.  Tests
@@ -9,16 +9,16 @@ cross-check def31.
 
 from __future__ import annotations
 
-from itertools import product as cartesian
 from typing import Iterable
 
-from .core import FiniteGroupoid, Morphism, validate_groupoid
+from .core import (
+    FiniteGroupoid, Morphism, _null, _pair, _product, _single_unit, validate_groupoid,
+)
 from .grouptable import (
     GroupTable,
     direct_product_groups,
     noncommuting_pair,
     pair_token,
-    pair_token_table,
     trivial_group,
     validate_group,
 )
@@ -28,7 +28,6 @@ from .report import (
     InternalCheckFailed,
     InvalidGroup,
     InvalidInput,
-    MalformedTable,
     NonCommutativeGroup,
 )
 
@@ -58,27 +57,6 @@ def _verified_gg(gg: GroupGroupoid) -> GroupGroupoid:
     return gg
 
 
-def _require_group(table: GroupTable) -> None:
-    try:
-        report = validate_group(table)
-    except MalformedTable as exc:
-        raise InvalidGroup(str(exc)) from exc
-    report.require(InvalidGroup, "not a group")
-
-
-def _null(objects: frozenset[str]) -> FiniteGroupoid:
-    ident = {u: u for u in objects}
-    return FiniteGroupoid(
-        objects=objects,
-        arrows=objects,
-        src=dict(ident),
-        tgt=dict(ident),
-        unit=dict(ident),
-        inv=dict(ident),
-        prod={(u, u): u for u in objects},
-    )
-
-
 def null_groupoid(objs: Iterable[str]) -> FiniteGroupoid:
     """Only unit arrows: every object is its own arrow and composes with itself."""
     objects = frozenset(objs)
@@ -87,41 +65,10 @@ def null_groupoid(objs: Iterable[str]) -> FiniteGroupoid:
     return _verified(_null(objects))
 
 
-def _single_unit(table: GroupTable) -> FiniteGroupoid:
-    e = table.identity
-    const = {x: e for x in table.elements}
-    return FiniteGroupoid(
-        objects=frozenset({e}),
-        arrows=table.elements,
-        src=const,
-        tgt=dict(const),
-        unit={e: e},
-        inv=dict(table.inverse),
-        prod=dict(table.op),
-    )
-
-
 def group_as_single_unit_groupoid(table: GroupTable) -> FiniteGroupoid:
     """One object (the group identity); arrows are the elements, product is the op."""
-    _require_group(table)
+    validate_group(table).require(InvalidGroup, "not a group")
     return _verified(_single_unit(table))
-
-
-def _pair(objects: frozenset[str]) -> FiniteGroupoid:
-    tok = pair_token_table(objects, objects)
-    arrows = [(tok[x][y], x, y) for x, y in cartesian(objects, objects)]
-    return FiniteGroupoid(
-        objects=objects,
-        arrows=frozenset(a for a, _, _ in arrows),
-        src={a: x for a, x, _ in arrows},
-        tgt={a: y for a, _, y in arrows},
-        unit={x: tok[x][x] for x in objects},
-        inv={a: tok[y][x] for a, x, y in arrows},
-        prod={
-            (tok[x][y], tok[y][z]): tok[x][z]
-            for x, y, z in cartesian(objects, objects, objects)
-        },
-    )
 
 
 def pair_groupoid(objs: Iterable[str]) -> FiniteGroupoid:
@@ -130,44 +77,6 @@ def pair_groupoid(objs: Iterable[str]) -> FiniteGroupoid:
     if not objects:
         raise EmptySet("pair groupoid needs at least one object")
     return _verified(_pair(objects))
-
-
-def _product(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
-    """Componentwise structure on pair tokens; pairs compose iff both components do.
-
-    The factors must be well formed (core.check_wellformed), not valid: def31
-    builds the product of a structure it has yet to decide.
-    """
-    tok = pair_token_table(g.objects | g.arrows, k.objects | k.arrows)
-    src = {}
-    tgt = {}
-    inv = {}
-    unit = {}
-    for x in g.arrows:
-        row, src_row, tgt_row, inv_row = tok[x], tok[g.src[x]], tok[g.tgt[x]], tok[g.inv[x]]
-        for y in k.arrows:
-            a = row[y]
-            src[a] = src_row[k.src[y]]
-            tgt[a] = tgt_row[k.tgt[y]]
-            inv[a] = inv_row[k.inv[y]]
-    for u in g.objects:
-        row, unit_row = tok[u], tok[g.unit[u]]
-        for v in k.objects:
-            unit[row[v]] = unit_row[k.unit[v]]
-    prod = {}
-    for (x1, x2), xz in g.prod.items():
-        row1, row2, row_z = tok[x1], tok[x2], tok[xz]
-        for (y1, y2), yz in k.prod.items():
-            prod[(row1[y1], row2[y2])] = row_z[yz]
-    return FiniteGroupoid(
-        objects=frozenset(unit),
-        arrows=frozenset(src),
-        src=src,
-        tgt=tgt,
-        unit=unit,
-        inv=inv,
-        prod=prod,
-    )
 
 
 def direct_product_groupoids(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
@@ -180,7 +89,7 @@ def direct_product_groupoids(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGrou
 
 def null_group_groupoid(table: GroupTable) -> GroupGroupoid:
     """Null groupoid on the elements, with the group acting on arrows and objects alike."""
-    _require_group(table)
+    validate_group(table).require(InvalidGroup, "not a group")
     return _verified_gg(
         GroupGroupoid(
             base=_null(table.elements),
@@ -196,7 +105,7 @@ def single_unit_group_groupoid(table: GroupTable) -> GroupGroupoid:
     Commutativity is required: for a non-commutative table the interchange law
     already fails, and the witness pair is reported in the error.
     """
-    _require_group(table)
+    validate_group(table).require(InvalidGroup, "not a group")
     witness = noncommuting_pair(table)
     if witness is not None:
         raise NonCommutativeGroup(
@@ -215,7 +124,7 @@ def single_unit_group_groupoid(table: GroupTable) -> GroupGroupoid:
 
 def group_pair_groupoid(table: GroupTable) -> GroupGroupoid:
     """Pair groupoid on the elements with componentwise addition on the arrows."""
-    _require_group(table)
+    validate_group(table).require(InvalidGroup, "not a group")
     return _verified_gg(
         GroupGroupoid(
             base=_pair(table.elements),

@@ -8,10 +8,11 @@ witnesses; nothing is inferred or repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import product as cartesian
 from typing import Iterator, Mapping
 
-from .grouptable import GroupTable, find_isomorphism, validate_group
+from .grouptable import GroupTable, find_isomorphism, pair_token_table, validate_group
 from .report import (
     DomainMismatch,
     InternalCheckFailed,
@@ -47,9 +48,11 @@ ISO_SEARCH_CAP = 12
 class FiniteGroupoid:
     """A groupoid with explicitly tabulated structure maps.
 
-    ``prod`` is partial: its keys should be exactly the composable pairs,
-    i.e. those (x, y) with tgt[x] == src[y].  Whether they actually are is
-    validate_groupoid's business, not a construction-time requirement.
+    Built well formed or not at all: construction runs check_wellformed, so
+    every map is total and hits declared identifiers, and the maps must not
+    be mutated afterwards.  ``prod`` is partial: its keys should be exactly
+    the composable pairs, i.e. those (x, y) with tgt[x] == src[y].  Whether
+    they actually are is validate_groupoid's business.
     """
 
     objects: frozenset[str]
@@ -61,17 +64,28 @@ class FiniteGroupoid:
     prod: Mapping[tuple[str, str], str]
 
     def __post_init__(self) -> None:
+        check_wellformed(self)
         # not functools.cached_property: a write through the instance __dict__
         # slows every later attribute read on CPython 3.11 by about a third
         object.__setattr__(self, "_fibers", None)
+
+    @classmethod
+    def _unchecked(cls, objects, arrows, src, tgt, unit, inv, prod) -> FiniteGroupoid:
+        """Build without check_wellformed, for a structure that is well formed
+        by its construction.  Sets the fields in declaration order, as
+        __init__ does, and never writes through __dict__."""
+        g = cls.__new__(cls)
+        for field, value in zip(fields(cls), (objects, arrows, src, tgt, unit, inv, prod)):
+            object.__setattr__(g, field.name, value)
+        object.__setattr__(g, "_fibers", None)
+        return g
 
     @property
     def fibers(self) -> dict[tuple[str, str], tuple[str, ...]]:
         """(side, u) -> the sorted arrows whose source (side 'source') or target
         (side 'target') is u; a key with no arrows is absent.
 
-        Built on first use, in one pass over the sorted arrows.  The structure
-        maps must not be mutated after the first check has read this index.
+        Built on first use, in one pass over the sorted arrows.
         """
         if self._fibers is None:
             index: dict[tuple[str, str], list[str]] = {}
@@ -121,6 +135,91 @@ def check_wellformed(g: FiniteGroupoid) -> None:
             raise MalformedStructure(f"prod entry ({x},{y})={z} uses an undeclared arrow")
 
 
+
+def _null(objects: frozenset[str]) -> FiniteGroupoid:
+    ident = {u: u for u in objects}
+    return FiniteGroupoid(
+        objects=objects,
+        arrows=objects,
+        src=dict(ident),
+        tgt=dict(ident),
+        unit=dict(ident),
+        inv=dict(ident),
+        prod={(u, u): u for u in objects},
+    )
+
+
+def _single_unit(table: GroupTable) -> FiniteGroupoid:
+    e = table.identity
+    const = {x: e for x in table.elements}
+    return FiniteGroupoid(
+        objects=frozenset({e}),
+        arrows=table.elements,
+        src=const,
+        tgt=dict(const),
+        unit={e: e},
+        inv=dict(table.inverse),
+        prod=dict(table.op),
+    )
+
+
+def _pair(objects: frozenset[str]) -> FiniteGroupoid:
+    tok = pair_token_table(objects, objects)
+    arrows = [(tok[x][y], x, y) for x, y in cartesian(objects, objects)]
+    return FiniteGroupoid(
+        objects=objects,
+        arrows=frozenset(a for a, _, _ in arrows),
+        src={a: x for a, x, _ in arrows},
+        tgt={a: y for a, _, y in arrows},
+        unit={x: tok[x][x] for x in objects},
+        inv={a: tok[y][x] for a, x, y in arrows},
+        prod={
+            (tok[x][y], tok[y][z]): tok[x][z]
+            for x, y, z in cartesian(objects, objects, objects)
+        },
+    )
+
+
+def _product(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
+    """Componentwise structure on pair tokens; pairs compose iff both components do.
+
+    The factors need not be valid: def31 builds the product of a structure it
+    has yet to decide.  Pair tokens of identifiers are identifiers, so the
+    result is well formed and is built unchecked; the other builders take
+    caller tokens, which may not be identifiers, and are checked.
+    """
+    tok = pair_token_table(g.objects | g.arrows, k.objects | k.arrows)
+    src = {}
+    tgt = {}
+    inv = {}
+    unit = {}
+    for x in g.arrows:
+        row, src_row, tgt_row, inv_row = tok[x], tok[g.src[x]], tok[g.tgt[x]], tok[g.inv[x]]
+        for y in k.arrows:
+            a = row[y]
+            src[a] = src_row[k.src[y]]
+            tgt[a] = tgt_row[k.tgt[y]]
+            inv[a] = inv_row[k.inv[y]]
+    for u in g.objects:
+        row, unit_row = tok[u], tok[g.unit[u]]
+        for v in k.objects:
+            unit[row[v]] = unit_row[k.unit[v]]
+    prod = {}
+    for (x1, x2), xz in g.prod.items():
+        row1, row2, row_z = tok[x1], tok[x2], tok[xz]
+        for (y1, y2), yz in k.prod.items():
+            prod[(row1[y1], row2[y2])] = row_z[yz]
+    return FiniteGroupoid._unchecked(
+        objects=frozenset(unit),
+        arrows=frozenset(src),
+        src=src,
+        tgt=tgt,
+        unit=unit,
+        inv=inv,
+        prod=prod,
+    )
+
+
 def validate_groupoid(
     g: FiniteGroupoid, *, allow_nonsurjective: bool = False
 ) -> ValidationReport:
@@ -132,7 +231,6 @@ def validate_groupoid(
     map.  With allow_nonsurjective the surjectivity failures downgrade to
     warning notes.
     """
-    check_wellformed(g)
     rb = ReportBuilder()
     arrows = sorted(g.arrows)
     objects = sorted(g.objects)
@@ -274,14 +372,11 @@ def isotropy_group(g: FiniteGroupoid, u: str) -> GroupTable:
                     f"no product stored for loops ({x},{y}) at {u}; the groupoid is not valid"
                 )
             op[(x, y)] = z
-    table = GroupTable(
-        frozenset(loops), op, g.unit[u], {x: g.inv[x] for x in loops}
-    )
     try:
-        report = validate_group(table)
+        table = GroupTable(frozenset(loops), op, g.unit[u], {x: g.inv[x] for x in loops})
     except MalformedTable as exc:
         raise InternalCheckFailed(f"isotropy at {u} is not a group: {exc}") from exc
-    report.require(InternalCheckFailed, f"isotropy at {u} is not a group")
+    validate_group(table).require(InternalCheckFailed, f"isotropy at {u} is not a group")
     return table
 
 
@@ -340,7 +435,6 @@ def structure_identities(g: FiniteGroupoid) -> ValidationReport:
     Expects a groupoid that already passed validate_groupoid; on broken input
     the product lookups may be undefined, which is reported rather than raised.
     """
-    check_wellformed(g)
     rb = ReportBuilder()
     arrows = sorted(g.arrows)
     objects = sorted(g.objects)

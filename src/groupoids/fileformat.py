@@ -214,8 +214,9 @@ def parse_structure_file(text: str) -> StructureFile:
             raise StructureSyntaxError(f"section '{name}' is missing or empty", kind_line)
         return entries
 
-    def table(prefix: str, elements: set[str]) -> GroupTable:
-        return GroupTable(
+    # parse every section before constructing: a ParseError beats a shape error
+    def table_fields(prefix: str, elements: set[str]) -> dict:
+        return dict(
             elements=frozenset(elements),
             op=_pair_mapping(need(prefix + "op"), elements, prefix + "op"),
             identity=_check_identifier(
@@ -227,7 +228,7 @@ def parse_structure_file(text: str) -> StructureFile:
     if kind in ("groupoid", "group_groupoid"):
         objects = set(_declarations(need("objects"), "object"))
         arrows = set(_declarations(need("arrows"), "arrow"))
-        g = FiniteGroupoid(
+        base = dict(
             objects=frozenset(objects),
             arrows=frozenset(arrows),
             src=_mapping(need("source"), arrows, objects, "source"),
@@ -237,13 +238,14 @@ def parse_structure_file(text: str) -> StructureFile:
             prod=_pair_mapping(need("product"), arrows, "product"),
         )
         if kind == "groupoid":
-            return StructureFile(kind, g)
-        return StructureFile(
-            kind, GroupGroupoid(g, table("arrow_group_", arrows), table("object_group_", objects))
-        )
+            return StructureFile(kind, FiniteGroupoid(**base))
+        tables = (table_fields("arrow_group_", arrows), table_fields("object_group_", objects))
+        gg = GroupGroupoid(FiniteGroupoid(**base), *(GroupTable(**t) for t in tables))
+        return StructureFile(kind, gg)
 
     if kind == "group":
-        return StructureFile(kind, table("", set(_declarations(need("elements"), "element"))))
+        elements = set(_declarations(need("elements"), "element"))
+        return StructureFile(kind, GroupTable(**table_fields("", elements)))
 
     # morphism: map entries cannot be resolved until the endpoints are loaded
     spec = MorphismSpec(

@@ -55,12 +55,19 @@ def pair_token_table(left: Iterable[str], right: Iterable[str]) -> dict[str, dic
 
 @dataclass(frozen=True)
 class GroupTable:
-    """A finite group: elements, total binary operation, identity, inverse map."""
+    """A finite group: elements, total binary operation, identity, inverse map.
+
+    Construction runs check_table_wellformed; the maps must not be mutated
+    afterwards.  Whether the group laws hold is validate_group's business.
+    """
 
     elements: frozenset[str]
     op: Mapping[tuple[str, str], str]
     identity: str
     inverse: Mapping[str, str]
+
+    def __post_init__(self) -> None:
+        check_table_wellformed(self)
 
     def mul(self, first: str, *rest: str) -> str:
         """Left-to-right product of one or more elements."""
@@ -188,7 +195,6 @@ def validate_group(table: GroupTable) -> ValidationReport:
     Associativity is enumerated over all triples unless Light's test
     (_associativity_certificate) proves it first.
     """
-    check_table_wellformed(table)
     rb = ReportBuilder()
     elems = sorted(table.elements)
     op = table.op

@@ -22,14 +22,14 @@ from .core import (
     FiniteGroupoid,
     Morphism,
     _loops,
-    check_wellformed,
+    _null,
+    _product,
     validate_groupoid,
     validate_morphism,
 )
 from .grouptable import (
     GroupTable,
     additivity_report,
-    check_table_wellformed,
     closure_gate,
     closure_report,
     noncommuting_pair,
@@ -48,7 +48,6 @@ from .report import (
 __all__ = [
     "GroupGroupoid",
     "MODES",
-    "check_wellformed_gg",
     "structural_report",
     "check_interchange",
     "check_group_groupoid",
@@ -60,35 +59,34 @@ __all__ = [
 
 MODES = ("def31", "def32", "both")
 
+# the source of def31's identity map, built and checked once
+_ONE_POINT = _null(frozenset(["*"]))
+
 
 @dataclass(frozen=True)
 class GroupGroupoid:
     """A groupoid plus group tables on its arrow and object sets.
 
-    The tables must be defined on exactly the arrow/object token sets; the
-    compatibility laws are check_group_groupoid's business.
+    The tables must be defined on exactly the arrow/object token sets
+    (MalformedStructure at construction otherwise); the compatibility laws
+    are check_group_groupoid's business.
     """
 
     base: FiniteGroupoid
     arrow_group: GroupTable
     object_group: GroupTable
 
-
-def check_wellformed_gg(gg: GroupGroupoid) -> None:
-    check_wellformed(gg.base)
-    check_table_wellformed(gg.arrow_group)
-    check_table_wellformed(gg.object_group)
-    if gg.arrow_group.elements != gg.base.arrows:
-        raise MalformedStructure("arrow group must be defined on exactly the arrow set")
-    if gg.object_group.elements != gg.base.objects:
-        raise MalformedStructure("object group must be defined on exactly the object set")
+    def __post_init__(self) -> None:
+        if self.arrow_group.elements != self.base.arrows:
+            raise MalformedStructure("arrow group must be defined on exactly the arrow set")
+        if self.object_group.elements != self.base.objects:
+            raise MalformedStructure("object group must be defined on exactly the object set")
 
 
 def structural_report(
     gg: GroupGroupoid, *, allow_nonsurjective: bool = False
 ) -> ValidationReport:
     """Groupoid axioms on the base plus group axioms on both tables."""
-    check_wellformed_gg(gg)
     rb = ReportBuilder()
     rb.absorb(
         validate_groupoid(gg.base, allow_nonsurjective=allow_nonsurjective),
@@ -101,7 +99,6 @@ def structural_report(
 
 def check_interchange(gg: GroupGroupoid) -> ValidationReport:
     """Exhaustive interchange law over all pairs of stored composable pairs."""
-    check_wellformed_gg(gg)
     g = gg.base
     add = gg.arrow_group.op
     rb = ReportBuilder()
@@ -190,14 +187,9 @@ def _def32_report(gg: GroupGroupoid, structure_valid: bool) -> ValidationReport:
 
 
 def _morphism_based_report(gg: GroupGroupoid) -> ValidationReport:
-    # imported here: construct builds on this module, so a top-level import
-    # would be circular
-    from .construct import _null, _product
-
     g = gg.base
     doubled = _product(g, g)
     point = "*"
-    one_point = _null(frozenset([point]))
 
     arrows = sorted(g.arrows)
     objects = sorted(g.objects)
@@ -216,7 +208,7 @@ def _morphism_based_report(gg: GroupGroupoid) -> ValidationReport:
         },
     )
     identity = Morphism(
-        source=one_point,
+        source=_ONE_POINT,
         target=g,
         f={point: gg.arrow_group.identity},
         f0={point: gg.object_group.identity},
@@ -285,7 +277,6 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
     isotropy group agreeing with addition.
     A product outside its group's element set is reported as closure only.
     """
-    check_wellformed_gg(gg)
     g = gg.base
     A = gg.arrow_group
     O = gg.object_group
@@ -405,7 +396,6 @@ def reconstruct_from_group(gg: GroupGroupoid) -> ValidationReport:
     both comparisons are exact token equality.  A product outside the arrow
     group's element set is reported as closure only.
     """
-    check_wellformed_gg(gg)
     g = gg.base
     A = gg.arrow_group
     rb = ReportBuilder()
@@ -436,14 +426,11 @@ def validate_gg_morphism(
 ) -> ValidationReport:
     """A group-groupoid morphism: groupoid morphism whose maps are also additive.
 
-    Both structures must be well formed (MalformedStructure otherwise).  A
-    product outside the source's element sets is reported as closure, and
+    A product outside the source's element sets is reported as closure, and
     additivity is then skipped.
     """
     if m.source != a.base or m.target != b.base:
         raise DomainMismatch("morphism endpoints are not the bases of the given structures")
-    check_wellformed_gg(a)
-    check_wellformed_gg(b)
     A, O = a.arrow_group, a.object_group
     rb = ReportBuilder()
     closed = closure_gate(rb, "additivity", {"arrow-group:": A, "object-group:": O})

@@ -3,7 +3,7 @@
 Validators never raise on a broken axiom: they return a report whose
 violations carry the rule that failed and the identifiers witnessing the
 failure.  Exceptions are reserved for inputs that are not even well-formed
-enough to check.
+enough to check; the structure types refuse those when they are built.
 """
 
 from __future__ import annotations

@@ -179,6 +179,18 @@ def test_isotropy_object_and_bundle(pair_z2_file, capsys):
     assert run_command(["isotropy", pair_z2_file, "--object", "7"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["sub"], ["isotropy", "--bundle"],
+                                  ["isotropy", "--object", "0"]],
+                         ids=["sub", "isotropy-bundle", "isotropy-object"])
+def test_a_file_lacking_a_source_entry_is_a_usage_error(argv, tmp_path, capsys):
+    text = emit_structure_file(group_pair_groupoid(cyclic_group(2)))
+    path = tmp_path / "no-source.gpd"
+    path.write_text(text.replace("source: (0|0)=0 (0|1)=0", "source: (0|0)=0"),
+                    encoding="utf-8")
+    assert run_command([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == "error: src must be total on the arrow set\n"
+
+
 def test_isotropy_bundle_needs_group_structure(tmp_path, capsys):
     path = tmp_path / "plain.gpd"
     run_command(["construct", "pair", "--objects", "a", "b", "--output", str(path)])

@@ -3,7 +3,9 @@ import pytest
 from groupoids import (
     DuplicateDeclaration,
     FiniteGroupoid,
+    GroupTable,
     InvalidInput,
+    MalformedStructure,
     Morphism,
     StructureSyntaxError,
     UnknownIdentifier,
@@ -129,15 +131,28 @@ def test_single_valued_sections_cannot_repeat():
     assert line_of(DuplicateDeclaration, group + "id: e\nid: f\n") == 6
 
 
+def test_a_parse_error_wins_over_a_shape_error():
+    # source lacks an entry (a shape error) and arrow_group_op names an
+    # undeclared token (a parse error, in a later section)
+    text = emit_structure_file(group_pair_groupoid(cyclic_group(2)))
+    text = text.replace("source: (0|0)=0 (0|1)=0", "source: (0|0)=0")
+    text = text.replace("arrow_group_op: (0|0).(0|0)=(0|0)", "arrow_group_op: (0|0).(0|0)=zz")
+    assert "source: (0|0)=0 (1|0)=1" in text and "=zz" in text.splitlines()[9]
+    with pytest.raises(UnknownIdentifier, match="line 10: unknown identifier 'zz'"):
+        parse_structure_file(text)
+
+
 def test_emit_rejects_unwritable_tokens():
     g = null_groupoid(["u"])
-    bad = FiniteGroupoid(
-        objects=frozenset({"a.b"}), arrows=frozenset({"a.b"}),
-        src={"a.b": "a.b"}, tgt={"a.b": "a.b"}, unit={"a.b": "a.b"},
-        inv={"a.b": "a.b"}, prod={("a.b", "a.b"): "a.b"},
-    )
     with pytest.raises(InvalidInput):
-        emit_structure_file(bad)
+        emit_structure_file(GroupTable(frozenset({"a.b"}), {("a.b", "a.b"): "a.b"}, "a.b",
+                                       {"a.b": "a.b"}))
+    with pytest.raises(MalformedStructure, match="bad identifier 'a.b'"):
+        FiniteGroupoid(
+            objects=frozenset({"a.b"}), arrows=frozenset({"a.b"}),
+            src={"a.b": "a.b"}, tgt={"a.b": "a.b"}, unit={"a.b": "a.b"},
+            inv={"a.b": "a.b"}, prod={("a.b", "a.b"): "a.b"},
+        )
     with pytest.raises(InvalidInput):
         emit_structure_file(Morphism(g, g, {"u": "u"}, {"u": "u"}))  # no paths
     with pytest.raises(InvalidInput):
