@@ -16,6 +16,7 @@ from .affine import (
 from .construct import (
     direct_product_group_groupoids,
     direct_product_groupoids,
+    direct_product_groups,
     group_as_single_unit_groupoid,
     group_pair_groupoid,
     null_group_groupoid,
@@ -50,7 +51,6 @@ from .fileformat import (
 from .grouptable import (
     GroupTable,
     cyclic_group,
-    direct_product_groups,
     element_order,
     find_isomorphism,
     is_commutative,

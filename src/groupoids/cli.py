@@ -12,11 +12,13 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import groupby
 
 from . import affine
 from .construct import (
     direct_product_group_groupoids,
     direct_product_groupoids,
+    direct_product_groups,
     group_pair_groupoid,
     null_group_groupoid,
     null_groupoid,
@@ -38,12 +40,12 @@ from .fileformat import (
 from .grouptable import (
     GroupTable,
     cyclic_group,
-    direct_product_groups,
     symmetric_group,
     trivial_group,
     validate_group,
 )
 from .overlay import (
+    MODES,
     GroupGroupoid,
     check_derived_identities,
     check_group_groupoid,
@@ -69,10 +71,8 @@ def _render_report(report: ValidationReport, fmt: str) -> str:
     if fmt == "machine":
         return json.dumps(report.to_dict(), indent=2, sort_keys=True)
     lines = ["PASS" if report.valid else "FAIL"]
-    for rule in report.rules():
-        found = report.by_rule(rule)
-        if not found:
-            continue
+    for rule, group in groupby(report.violations, key=lambda v: v.rule):
+        found = list(group)
         lines.append(f"{rule}: {len(found)} violation(s)")
         for v in found[:_MAX_SHOWN]:
             lines.append(f"  at ({', '.join(v.witness)}): {v.message}")
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="group-compatibility of a group_groupoid file")
     p.add_argument("file")
-    p.add_argument("--mode", choices=("def31", "def32", "both"), default="both")
+    p.add_argument("--mode", choices=MODES, default="both")
     _add_format(p)
     p.set_defaults(handler=_cmd_check)
 

@@ -3,8 +3,8 @@
 Each shape has one builder in core (_null, _single_unit, _pair, _product).
 A public constructor checks its inputs, builds, and checks only the structure
 it returns, once: validate_groupoid for a groupoid, check_group_groupoid in
-mode def32 (which validates the base) for a group-groupoid.  Tests
-cross-check def31.
+mode def32 (which validates the base) for a group-groupoid; tests cross-check
+def31.  A group is its one-object groupoid, so every product is _product's.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .core import (
 )
 from .grouptable import (
     GroupTable,
-    direct_product_groups,
+    closure_report,
     noncommuting_pair,
     pair_token,
     trivial_group,
@@ -36,6 +36,7 @@ __all__ = [
     "group_as_single_unit_groupoid",
     "pair_groupoid",
     "direct_product_groupoids",
+    "direct_product_groups",
     "null_group_groupoid",
     "single_unit_group_groupoid",
     "group_pair_groupoid",
@@ -85,6 +86,16 @@ def direct_product_groupoids(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGrou
         if not validate_groupoid(part).valid:
             raise InvalidInput("direct product factors must be valid groupoids")
     return _verified(_product(g, k))
+
+
+def direct_product_groups(a: GroupTable, b: GroupTable) -> GroupTable:
+    """The product of the two one-object groupoids, read back as a table
+    (InvalidInput for a factor with a product outside its elements)."""
+    for part in (a, b):
+        closure_report(part).require(InvalidInput, "direct product factors must be closed")
+    g = _product(_single_unit(a), _single_unit(b))
+    (e,) = g.unit.values()
+    return GroupTable(g.arrows, g.prod, e, g.inv)
 
 
 def null_group_groupoid(table: GroupTable) -> GroupGroupoid:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from itertools import product as cartesian
 from typing import Iterator, Mapping
 
-from .grouptable import GroupTable, find_isomorphism, pair_token_table, validate_group
+from .grouptable import GroupTable, find_isomorphism, is_identifier, pair_token_table, validate_group
 from .report import (
     DomainMismatch,
     InternalCheckFailed,
@@ -107,11 +107,6 @@ class FiniteGroupoid:
                 yield (x, y)
 
 
-def is_identifier(tok: str) -> bool:
-    """Non-empty, with no whitespace, '#', '=' or '.': writable to a structure file."""
-    return tok.split() == [tok] and "#" not in tok and "=" not in tok and "." not in tok
-
-
 def check_wellformed(g: FiniteGroupoid) -> None:
     """Raise MalformedStructure unless every map is total and hits declared tokens."""
     for tok in sorted(g.objects | g.arrows):
@@ -150,9 +145,11 @@ def _null(objects: frozenset[str]) -> FiniteGroupoid:
 
 
 def _single_unit(table: GroupTable) -> FiniteGroupoid:
+    """The one-object groupoid of a table, which must be closed: it is then well
+    formed, since table elements are identifiers, and is built unchecked."""
     e = table.identity
     const = {x: e for x in table.elements}
-    return FiniteGroupoid(
+    return FiniteGroupoid._unchecked(
         objects=frozenset({e}),
         arrows=table.elements,
         src=const,
@@ -185,8 +182,8 @@ def _product(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
 
     The factors need not be valid: def31 builds the product of a structure it
     has yet to decide.  Pair tokens of identifiers are identifiers, so the
-    result is well formed and is built unchecked; the other builders take
-    caller tokens, which may not be identifiers, and are checked.
+    result is well formed and is built unchecked; _null and _pair take caller
+    tokens, which may not be identifiers, and are checked.
     """
     tok = pair_token_table(g.objects | g.arrows, k.objects | k.arrows)
     src = {}
@@ -505,12 +502,24 @@ def structure_identities(g: FiniteGroupoid) -> ValidationReport:
 
 @dataclass(frozen=True)
 class Morphism:
-    """A map of groupoids: arrow map f plus object map f0."""
+    """A map of groupoids: arrow map f plus object map f0, total on the source
+    and into the target (DomainMismatch at construction otherwise)."""
 
     source: FiniteGroupoid
     target: FiniteGroupoid
     f: Mapping[str, str]
     f0: Mapping[str, str]
+
+    def __post_init__(self) -> None:
+        s, t = self.source, self.target
+        if set(self.f) != set(s.arrows):
+            raise DomainMismatch("arrow map must be total on the source arrows")
+        if not set(self.f.values()) <= t.arrows:
+            raise DomainMismatch("arrow map has values outside the target arrows")
+        if set(self.f0) != set(s.objects):
+            raise DomainMismatch("object map must be total on the source objects")
+        if not set(self.f0.values()) <= t.objects:
+            raise DomainMismatch("object map has values outside the target objects")
 
 
 def validate_morphism(m: Morphism) -> ValidationReport:
@@ -525,15 +534,6 @@ def validate_morphism(m: Morphism) -> ValidationReport:
     does not check, so a failure is reported like any other violation.
     """
     s, t = m.source, m.target
-    if set(m.f) != set(s.arrows):
-        raise DomainMismatch("arrow map must be total on the source arrows")
-    if not set(m.f.values()) <= t.arrows:
-        raise DomainMismatch("arrow map has values outside the target arrows")
-    if set(m.f0) != set(s.objects):
-        raise DomainMismatch("object map must be total on the source objects")
-    if not set(m.f0.values()) <= t.objects:
-        raise DomainMismatch("object map has values outside the target objects")
-
     rb = ReportBuilder()
     for x in sorted(s.arrows):
         fx = m.f[x]

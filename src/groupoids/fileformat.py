@@ -20,8 +20,8 @@ import os
 from dataclasses import dataclass
 from typing import Mapping
 
-from .core import FiniteGroupoid, Morphism, is_identifier
-from .grouptable import GroupTable
+from .core import FiniteGroupoid, Morphism
+from .grouptable import GroupTable, closure_report, is_identifier
 from .overlay import GroupGroupoid
 from .report import GroupoidError, InvalidInput
 
@@ -37,8 +37,6 @@ __all__ = [
     "load_structure_file",
     "load_morphism",
 ]
-
-KINDS = ("groupoid", "group_groupoid", "group", "morphism")
 
 _GROUPOID_SECTIONS = (
     "objects",
@@ -191,7 +189,7 @@ def parse_structure_file(text: str) -> StructureFile:
         if name == "kind":
             if kind is not None:
                 raise DuplicateDeclaration("kind declared twice", lineno)
-            if payload not in KINDS:
+            if payload not in SECTIONS:
                 raise StructureSyntaxError(f"unknown kind '{payload}'", lineno)
             kind = payload
             kind_line = lineno
@@ -258,6 +256,7 @@ def parse_structure_file(text: str) -> StructureFile:
 
 
 def _emit_token(tok: str) -> str:
+    # structures hold only identifiers; a caller's MorphismSpec may hold anything
     if not is_identifier(tok):
         raise InvalidInput(f"identifier {tok!r} cannot be written to a structure file")
     return tok
@@ -299,6 +298,7 @@ def _emit_groupoid_sections(g: FiniteGroupoid) -> list[str]:
 
 
 def _emit_table_sections(prefix: str, table: GroupTable) -> list[str]:
+    closure_report(table).require(InvalidInput, "cannot write a table that is not closed")
     lines = _emit_pairs(prefix + "op", table.op)
     lines.append(f"{prefix}id: {_emit_token(table.identity)}")
     return lines + _emit_map(prefix + "inv", table.inverse)

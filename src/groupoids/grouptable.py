@@ -22,6 +22,7 @@ from .report import (
 
 __all__ = [
     "GroupTable",
+    "is_identifier",
     "pair_token",
     "pair_token_table",
     "check_table_wellformed",
@@ -38,8 +39,12 @@ __all__ = [
     "trivial_group",
     "cyclic_group",
     "symmetric_group",
-    "direct_product_groups",
 ]
+
+
+def is_identifier(tok: str) -> bool:
+    """Non-empty, with no whitespace, '#', '=' or '.': writable to a structure file."""
+    return tok.split() == [tok] and "#" not in tok and "=" not in tok and "." not in tok
 
 
 def pair_token(left: str, right: str) -> str:
@@ -78,7 +83,7 @@ class GroupTable:
 
 
 def check_table_wellformed(table: GroupTable) -> None:
-    """Raise MalformedTable unless op/inverse are total over the declared elements.
+    """Raise MalformedTable unless op/inverse are total over declared identifiers.
 
     A value of ``op`` outside the element set is left alone here: that is a
     closure violation for validate_group to report, not a structural error.
@@ -86,6 +91,9 @@ def check_table_wellformed(table: GroupTable) -> None:
     elements = table.elements
     if not elements:
         raise MalformedTable("a group table needs at least its identity element")
+    bad = sorted(tok for tok in elements if not is_identifier(tok))
+    if bad:
+        raise MalformedTable(f"bad identifier {bad[0]!r}")
     if table.identity not in elements:
         raise MalformedTable(f"identity '{table.identity}' is not a declared element")
     # m*m distinct keys, each a pair of elements, are exactly all m*m pairs
@@ -341,25 +349,3 @@ def symmetric_group(n: int) -> GroupTable:
         inverse[tok[p]] = tok[tuple(pi)]
     return GroupTable(frozenset(tok.values()), op, tok[tuple(range(n))], inverse)
 
-
-def direct_product_groups(a: GroupTable, b: GroupTable) -> GroupTable:
-    """Componentwise operation on pair tokens."""
-    def tokens(t: GroupTable) -> frozenset[str]:
-        # any table is accepted here, so its values may lie outside its elements
-        return t.elements.union(t.op.values(), t.inverse.values(), (t.identity,))
-
-    tok = pair_token_table(tokens(a), tokens(b))
-    op = {}
-    inverse = {}
-    for x1 in a.elements:
-        row1 = tok[x1]
-        for y1 in b.elements:
-            left = row1[y1]
-            inverse[left] = tok[a.inverse[x1]][b.inverse[y1]]
-            for x2 in a.elements:
-                row2 = tok[x2]
-                row12 = tok[a.op[(x1, x2)]]
-                for y2 in b.elements:
-                    op[(left, row2[y2])] = row12[b.op[(y1, y2)]]
-    elements = frozenset(tok[x][y] for x in a.elements for y in b.elements)
-    return GroupTable(elements, op, tok[a.identity][b.identity], inverse)

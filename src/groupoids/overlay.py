@@ -191,21 +191,11 @@ def _morphism_based_report(gg: GroupGroupoid) -> ValidationReport:
     doubled = _product(g, g)
     point = "*"
 
-    arrows = sorted(g.arrows)
-    objects = sorted(g.objects)
     addition = Morphism(
         source=doubled,
         target=g,
-        f={
-            pair_token(x, y): gg.arrow_group.op[(x, y)]
-            for x in arrows
-            for y in arrows
-        },
-        f0={
-            pair_token(u, v): gg.object_group.op[(u, v)]
-            for u in objects
-            for v in objects
-        },
+        f={pair_token(x, y): z for (x, y), z in gg.arrow_group.op.items()},
+        f0={pair_token(u, v): w for (u, v), w in gg.object_group.op.items()},
     )
     identity = Morphism(
         source=_ONE_POINT,

@@ -218,6 +218,15 @@ def test_morphism_and_anchor(pair_z2_file, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["morphism", "validate"])
+def test_a_partial_morphism_file_is_a_usage_error(command, pair_z2_file, tmp_path, capsys):
+    m_path = tmp_path / "partial.gpd"
+    m_path.write_text("kind: morphism\nfrom: pairZ2.gpd\nto: pairZ2.gpd\n"
+                      "f: (0|0)=(0|0)\nf0: 0=0 1=1\n", encoding="utf-8")
+    assert run_command([command, str(m_path)]) == 2
+    assert capsys.readouterr().err == "error: arrow map must be total on the source arrows\n"
+
+
 def test_affine_subcommands(capsys):
     assert run_command(["affine", "verify", "--samples", "25", "--seed", "3"]) == 0
     assert run_command(["affine", "quad", "--kind", "A",

@@ -15,6 +15,7 @@ from groupoids import (
     direct_product_group_groupoids,
     direct_product_groupoids,
     direct_product_groups,
+    emit_structure_file,
     group_as_single_unit_groupoid,
     group_pair_groupoid,
     is_transitive,
@@ -24,9 +25,11 @@ from groupoids import (
     pair_groupoid,
     single_unit_group_groupoid,
     symmetric_group,
+    trivial_group,
     validate_gg_morphism,
     validate_groupoid,
 )
+from groupoids.grouptable import pair_token_table
 
 
 def test_null_groupoid_counts():
@@ -168,3 +171,46 @@ def test_constructor_rejects_its_own_invalid_output(monkeypatch):
     monkeypatch.setattr("groupoids.construct.direct_product_groups", damaged)
     with pytest.raises(InternalCheckFailed):
         group_pair_groupoid(cyclic_group(3))
+
+
+def four_loop_product(a: GroupTable, b: GroupTable) -> GroupTable:
+    """The group product written out as its own loop over both tables: the
+    reference the one-object case of the groupoid product must equal."""
+    tok = pair_token_table(a.elements, b.elements)
+    op = {}
+    inverse = {}
+    for x1 in a.elements:
+        for y1 in b.elements:
+            inverse[tok[x1][y1]] = tok[a.inverse[x1]][b.inverse[y1]]
+            for x2 in a.elements:
+                for y2 in b.elements:
+                    op[(tok[x1][y1], tok[x2][y2])] = tok[a.op[(x1, x2)]][b.op[(y1, y2)]]
+    elements = frozenset(tok[x][y] for x in a.elements for y in b.elements)
+    return GroupTable(elements, op, tok[a.identity][b.identity], inverse)
+
+
+def klein() -> GroupTable:
+    return four_loop_product(cyclic_group(2), cyclic_group(2))
+
+
+@pytest.mark.parametrize("a, b", [
+    (symmetric_group(3), symmetric_group(3)),
+    (symmetric_group(4), cyclic_group(2)),
+    (klein(), symmetric_group(3)),
+    (trivial_group(), symmetric_group(3)),
+    (cyclic_group(3), trivial_group("0")),
+    (trivial_group(), trivial_group()),
+], ids=["S3xS3", "S4xZ2", "(Z2xZ2)xS3", "1xS3", "Z3x1", "1x1"])
+def test_the_group_product_equals_the_four_loop_reference(a, b):
+    product = direct_product_groups(a, b)
+    reference = four_loop_product(a, b)
+    assert product == reference
+    assert emit_structure_file(product) == emit_structure_file(reference)
+
+
+def test_the_group_product_refuses_a_factor_that_is_not_closed():
+    z3 = cyclic_group(3)
+    open_z3 = GroupTable(z3.elements, {**z3.op, ("0", "2"): "zz"}, z3.identity, z3.inverse)
+    for a, b in ((open_z3, z3), (z3, open_z3)):
+        with pytest.raises(InvalidInput, match="closure at 0,2,zz"):
+            direct_product_groups(a, b)

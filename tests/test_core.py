@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from groupoids import (
@@ -252,6 +254,24 @@ def test_morphism_totality_is_an_error():
     g = pair_groupoid(["a", "b"])
     with pytest.raises(DomainMismatch):
         validate_morphism(Morphism(g, g, {"(a|a)": "(a|a)"}, {"a": "a", "b": "b"}))
+
+
+PAIR01 = pair_groupoid(["0", "1"])
+IDENTITY_F = {x: x for x in PAIR01.arrows}
+IDENTITY_F0 = {"0": "0", "1": "1"}
+
+
+@pytest.mark.parametrize("f, f0, message", [
+    ({"(0|0)": "(0|0)"}, IDENTITY_F0, "arrow map must be total on the source arrows"),
+    ({**IDENTITY_F, "(0|1)": "zz"}, IDENTITY_F0, "arrow map has values outside the target arrows"),
+    (IDENTITY_F, {"0": "0"}, "object map must be total on the source objects"),
+    (IDENTITY_F, {"0": "0", "1": "zz"}, "object map has values outside the target objects"),
+], ids=["partial-f", "f-outside", "partial-f0", "f0-outside"])
+def test_a_morphism_is_total_when_it_is_built(f, f0, message):
+    from groupoids import DomainMismatch
+
+    with pytest.raises(DomainMismatch, match=re.escape(message)):
+        Morphism(PAIR01, PAIR01, f, f0)
 
 
 def test_collapse_morphism_to_null_point():

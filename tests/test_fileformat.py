@@ -6,7 +6,9 @@ from groupoids import (
     GroupTable,
     InvalidInput,
     MalformedStructure,
+    MalformedTable,
     Morphism,
+    MorphismSpec,
     StructureSyntaxError,
     UnknownIdentifier,
     cyclic_group,
@@ -144,9 +146,10 @@ def test_a_parse_error_wins_over_a_shape_error():
 
 def test_emit_rejects_unwritable_tokens():
     g = null_groupoid(["u"])
-    with pytest.raises(InvalidInput):
-        emit_structure_file(GroupTable(frozenset({"a.b"}), {("a.b", "a.b"): "a.b"}, "a.b",
-                                       {"a.b": "a.b"}))
+    with pytest.raises(MalformedTable, match="bad identifier 'a.b'"):
+        GroupTable(frozenset({"a.b"}), {("a.b", "a.b"): "a.b"}, "a.b", {"a.b": "a.b"})
+    with pytest.raises(InvalidInput, match="identifier 'a.b' cannot be written"):
+        emit_structure_file(MorphismSpec("g.gpd", "g.gpd", {"a.b": "u"}, {"u": "u"}))
     with pytest.raises(MalformedStructure, match="bad identifier 'a.b'"):
         FiniteGroupoid(
             objects=frozenset({"a.b"}), arrows=frozenset({"a.b"}),
@@ -188,3 +191,16 @@ def test_load_structure_file(tmp_path):
     path = tmp_path / "g.gpd"
     path.write_text(MINIMAL, encoding="utf-8")
     assert load_structure_file(str(path)).structure == parse_structure_file(MINIMAL).structure
+
+
+def test_emit_refuses_a_table_it_could_not_read_back():
+    z3 = cyclic_group(3)
+    open_z3 = GroupTable(z3.elements, {**z3.op, ("0", "2"): "zz"}, z3.identity, z3.inverse)
+    with pytest.raises(InvalidInput, match="closure at 0,2,zz"):
+        emit_structure_file(open_z3)
+
+
+def test_every_corpus_structure_reads_back_as_itself(corpus, s3_control, klein_control):
+    for gg in [*corpus.values(), s3_control, klein_control]:
+        for value in (gg, gg.base, gg.arrow_group, gg.object_group):
+            assert parse_structure_file(emit_structure_file(value)).structure == value

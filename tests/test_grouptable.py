@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from groupoids import (
@@ -187,3 +189,9 @@ def test_light_test_rejects_a_closed_nonassociative_table(nonassociative_table):
     assert report.rules() == ("associativity",)
     assert [v.witness for v in report.violations] == expected
     assert ("1", "1", "3") in expected
+
+
+@pytest.mark.parametrize("tok", ["a b", "a.b", "a=b", "a#b"])
+def test_a_table_element_must_be_an_identifier(tok):
+    with pytest.raises(MalformedTable, match=re.escape(f"bad identifier {tok!r}")):
+        GroupTable(frozenset({tok}), {(tok, tok): tok}, tok, {tok: tok})
