@@ -90,12 +90,13 @@ def direct_product_groupoids(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGrou
 
 def direct_product_groups(a: GroupTable, b: GroupTable) -> GroupTable:
     """The product of the two one-object groupoids, read back as a table
-    (InvalidInput for a factor with a product outside its elements)."""
+    (InvalidInput for a factor with a product outside its elements).  Closed,
+    well-formed factors give a well-formed table, so it is built unchecked."""
     for part in (a, b):
         closure_report(part).require(InvalidInput, "direct product factors must be closed")
     g = _product(_single_unit(a), _single_unit(b))
     (e,) = g.unit.values()
-    return GroupTable(g.arrows, g.prod, e, g.inv)
+    return GroupTable._unchecked(g.arrows, g.prod, e, g.inv)
 
 
 def null_group_groupoid(table: GroupTable) -> GroupGroupoid:

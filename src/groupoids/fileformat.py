@@ -6,7 +6,8 @@ group_groupoid, group or morphism).  Declarations list whitespace-separated
 tokens; maps list ``key=value`` entries and the product/op tables list
 ``x.y=z`` entries.  A section may be continued over any number of lines.
 
-Identifiers may not contain whitespace, '#', '=' or '.'.  Every identifier an
+Identifiers may not contain whitespace, '#', '=' or '.', and '(', '|' and ')'
+only as a pair token (x|y) of two identifiers.  Every identifier an
 entry references must be declared in the same file, except in morphism files,
 whose maps refer to the two endpoint files named by ``from:`` and ``to:``.
 
@@ -279,10 +280,8 @@ def _emit_map(name: str, mapping: Mapping[str, str], per_line: int = 6) -> list[
 def _emit_pairs(
     name: str, mapping: Mapping[tuple[str, str], str], per_line: int = 4
 ) -> list[str]:
-    entries = [
-        f"{_emit_token(x)}.{_emit_token(y)}={_emit_token(v)}"
-        for (x, y), v in sorted(mapping.items())
-    ]
+    # only structures have product and op tables, and they hold only identifiers
+    entries = [f"{x}.{y}={v}" for (x, y), v in sorted(mapping.items())]
     return _wrap(name, entries, per_line)
 
 

@@ -8,7 +8,8 @@ enumeration, so reports are the same either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 from itertools import permutations, product as cartesian
 from typing import Iterable, Mapping
 
@@ -42,9 +43,23 @@ __all__ = [
 ]
 
 
+_ATOMS = re.compile(r"[^()|]+")
+
+
 def is_identifier(tok: str) -> bool:
-    """Non-empty, with no whitespace, '#', '=' or '.': writable to a structure file."""
-    return tok.split() == [tok] and "#" not in tok and "=" not in tok and "." not in tok
+    """Writable to a structure file: non-empty, with no whitespace, '#', '=' or
+    '.', and of the form T ::= atom | (T|T), where an atom has none of '(', '|'
+    and ')'.  Pair tokens of identifiers are then identifiers, and pair_token
+    is injective on identifiers."""
+    if tok.split() != [tok] or "#" in tok or "=" in tok or "." in tok:
+        return False
+    if "(" not in tok and "|" not in tok and ")" not in tok:
+        return True
+    # with each atom written a, an innermost pair is (a|a) and becomes a term
+    term = _ATOMS.sub("a", tok)
+    while "(a|a)" in term:
+        term = term.replace("(a|a)", "a")
+    return term == "a"
 
 
 def pair_token(left: str, right: str) -> str:
@@ -73,6 +88,16 @@ class GroupTable:
 
     def __post_init__(self) -> None:
         check_table_wellformed(self)
+
+    @classmethod
+    def _unchecked(cls, elements, op, identity, inverse) -> GroupTable:
+        """Build without check_table_wellformed, for a table that is well formed
+        by its construction.  Sets the fields in declaration order, as
+        __init__ does, and never writes through __dict__."""
+        table = cls.__new__(cls)
+        for field, value in zip(fields(cls), (elements, op, identity, inverse)):
+            object.__setattr__(table, field.name, value)
+        return table
 
     def mul(self, first: str, *rest: str) -> str:
         """Left-to-right product of one or more elements."""

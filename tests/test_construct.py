@@ -8,6 +8,7 @@ from groupoids import (
     InternalCheckFailed,
     InvalidGroup,
     InvalidInput,
+    MalformedStructure,
     NonCommutativeGroup,
     anchor_morphism,
     check_group_groupoid,
@@ -66,6 +67,12 @@ def test_direct_product_groupoids():
     assert len(g.prod) == 16
     assert g.prod[("((a|b)|u)", "((b|a)|u)")] == "((a|a)|u)"
     assert validate_groupoid(g).valid
+
+
+def test_product_factors_with_a_bar_in_a_token_are_refused():
+    # "(a|b|c)" would stand for both ("a|b", "c") and ("a", "b|c")
+    with pytest.raises(MalformedStructure, match=r"bad identifier 'a\|b'"):
+        direct_product_groupoids(null_groupoid(["a|b", "a"]), null_groupoid(["c", "b|c"]))
 
 
 def test_null_group_groupoid():

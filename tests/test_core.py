@@ -181,7 +181,9 @@ def test_wellformedness_is_an_error_not_a_report():
         validate_groupoid(rebuild(g, tgt={**g.tgt, "(a|b)": "zzz"}))
 
 
-@pytest.mark.parametrize("bad", ["", "a b", "a#b", "a=b", "a.b"])
+@pytest.mark.parametrize(
+    "bad", ["", "a b", "a#b", "a=b", "a.b", "a|b", "(a|b", "(a)", "x(a|b)", "(a|b)(c|d)"]
+)
 def test_identifiers_follow_the_file_format_rule(bad):
     g = null_groupoid(["u"])
     with pytest.raises(MalformedStructure, match="bad identifier"):

@@ -133,6 +133,16 @@ def test_single_valued_sections_cannot_repeat():
     assert line_of(DuplicateDeclaration, group + "id: e\nid: f\n") == 6
 
 
+def test_a_bar_outside_a_pair_token_is_not_an_identifier():
+    def named(tok):
+        return MINIMAL.replace("u=u", f"{tok}={tok}").replace("u.u", f"{tok}.{tok}").replace(
+            ": u", f": {tok}")
+
+    with pytest.raises(StructureSyntaxError, match=r"line 2: bad identifier 'a\|b'"):
+        parse_structure_file(named("a|b"))
+    assert parse_structure_file(named("(a|b)")).structure.arrows == {"(a|b)"}
+
+
 def test_a_parse_error_wins_over_a_shape_error():
     # source lacks an entry (a shape error) and arrow_group_op names an
     # undeclared token (a parse error, in a later section)

@@ -18,10 +18,17 @@ from groupoids import (
     trivial_group,
     validate_group,
 )
+from groupoids.grouptable import is_identifier
 
 
 def test_pair_token():
     assert pair_token("a", "b") == "(a|b)"
+    # pair tokens of identifiers are identifiers, distinct for distinct pairs
+    atoms = ["a", "b", "0", "t0001"]
+    terms = atoms + [pair_token(x, y) for x in atoms for y in atoms]
+    pairs = {pair_token(x, y): (x, y) for x in terms for y in terms}
+    assert len(pairs) == len(terms) ** 2
+    assert all(is_identifier(tok) for tok in pairs)
 
 
 def test_trivial_group():

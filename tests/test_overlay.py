@@ -227,10 +227,11 @@ def test_unit_isotropy_agreement_messages(field, key, value, rule, witness, mess
 
 
 def test_klein_addition_on_single_unit_z4_fails_interchange(klein_control):
-    from groupoids.overlay import _interchange_certificate
+    from groupoids.overlay import _addition_certificate, _interchange_certificate
 
     assert structural_report(klein_control).valid
     assert not _interchange_certificate(klein_control)
+    assert not _addition_certificate(klein_control)
     exhaustive = check_interchange(klein_control).violations
     assert len(exhaustive) == 96
     report = check_group_groupoid(klein_control, mode="both")

@@ -164,6 +164,32 @@ def mutated(draw) -> GroupGroupoid:
 
 
 @st.composite
+def scrambled(draw) -> GroupGroupoid:
+    """A valid structure whose arrow table, object table or both are renamed by
+    a drawn bijection: both stay groups and the base stays, but they rarely
+    stay compatible, so these reach the certificates and their fallbacks."""
+    gg = draw(st.sampled_from(CORPUS))
+    which = draw(st.sampled_from(("arrow", "object", "both")))
+
+    def renamed(table: GroupTable) -> GroupTable:
+        old = sorted(table.elements)
+        r = dict(zip(old, draw(st.permutations(old))))
+        return GroupTable(
+            table.elements,
+            {(r[x], r[y]): r[z] for (x, y), z in table.op.items()},
+            r[table.identity],
+            {r[x]: r[y] for x, y in table.inverse.items()},
+        )
+
+    arrow_group, object_group = gg.arrow_group, gg.object_group
+    if which != "object":
+        arrow_group = renamed(arrow_group)
+    if which != "arrow":
+        object_group = renamed(object_group)
+    return GroupGroupoid(gg.base, arrow_group, object_group)
+
+
+@st.composite
 def outside_carrier(draw) -> tuple[GroupGroupoid, str, tuple[str, str]]:
     """One arrow-op or object-op entry of a valid structure set to a fresh
     token, which only the API can do: the file parser refuses it."""
@@ -261,14 +287,15 @@ def _certified_reports(gg: GroupGroupoid) -> list:
     return [report.to_dict() for report in reports]
 
 
-@given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated()))
-@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated(), scrambled()))
+@settings(max_examples=160, deadline=None)
 def test_certificates_only_accept(gg):
-    # with both certificates refusing, every law is enumerated in full
+    # with every certificate refusing, every law is enumerated in full
     fast = _certified_reports(gg)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grouptable, "_associativity_certificate", lambda table: False)
         mp.setattr(overlay, "_interchange_certificate", lambda gg: False)
+        mp.setattr(overlay, "_addition_certificate", lambda gg: False)
         assert _certified_reports(gg) == fast
 
 
@@ -285,9 +312,13 @@ def test_valid_input_takes_the_fast_paths(gg, monkeypatch):
     def exhaustive(gg):
         raise AssertionError("check_interchange ran on valid input")
 
+    def doubled(g, k):
+        raise AssertionError("def31 built the doubled groupoid of valid input")
+
     monkeypatch.setattr(overlay, "check_interchange", exhaustive)
-    assert check_group_groupoid(gg, mode="def32").valid
-    assert check_group_groupoid(gg, mode="both").valid
+    monkeypatch.setattr(overlay, "_product", doubled)
+    for mode in ("def31", "def32", "both"):
+        assert check_group_groupoid(gg, mode=mode).valid
     a = gg.arrow_group
     counted = GroupTable(a.elements, _CountingOp(a.op), a.identity, a.inverse)
     assert validate_group(counted).valid
