@@ -27,7 +27,6 @@ from .report import (
 __all__ = [
     "FiniteGroupoid",
     "Morphism",
-    "ISO_SEARCH_CAP",
     "check_wellformed",
     "is_identifier",
     "validate_groupoid",
@@ -39,9 +38,6 @@ __all__ = [
     "structure_identities",
     "validate_morphism",
 ]
-
-# brute-force isomorphism search gives up above this group order
-ISO_SEARCH_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -422,12 +418,11 @@ def structure_identities(g: FiniteGroupoid) -> ValidationReport:
 
     Endpoints of products and inverses, unit arrows being idempotent
     self-inverse loops, inversion being an involution that swaps endpoints,
-    and products inverting contravariantly.  For a transitive groupoid whose
-    isotropy groups have order at most ISO_SEARCH_CAP, also checks that they
-    are pairwise isomorphic (by brute-force search, independent of
-    conjugation); above the cap that check is skipped with a note.  An
-    isotropy that is not a group is reported at its object instead, and the
-    comparison is then skipped.
+    and products inverting contravariantly.  For a transitive groupoid, also
+    checks that the isotropy groups are pairwise isomorphic, by
+    find_isomorphism's search over generator images, which never uses
+    conjugation.  An isotropy that is not a group is reported at its object
+    instead, and the comparison is then skipped.
 
     Expects a groupoid that already passed validate_groupoid; on broken input
     the product lookups may be undefined, which is reported rather than raised.
@@ -484,14 +479,6 @@ def structure_identities(g: FiniteGroupoid) -> ValidationReport:
         except InternalCheckFailed as exc:
             rb.violation("isotropy-isomorphic", (u,), str(exc))
     if len(tables) < len(objects):
-        return rb.build()
-    biggest = max(len(t.elements) for t in tables.values())
-    if biggest > ISO_SEARCH_CAP:
-        rb.note(
-            "isotropy-isomorphic",
-            "skipped",
-            f"isotropy order {biggest} exceeds the search cap {ISO_SEARCH_CAP}",
-        )
         return rb.build()
     base = objects[0]
     for u in objects[1:]:

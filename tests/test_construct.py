@@ -28,6 +28,7 @@ from groupoids import (
     symmetric_group,
     trivial_group,
     validate_gg_morphism,
+    validate_group,
     validate_groupoid,
 )
 from groupoids.grouptable import pair_token_table
@@ -165,6 +166,29 @@ def test_constructors_check_their_output_in_def32_only(monkeypatch):
     pair = group_pair_groupoid(z2)
     direct_product_group_groupoids(pair, null_group_groupoid(z2))
     assert checks(lambda: anchor_morphism(pair)) == 1
+
+
+def test_constructors_check_their_input_table_in_the_output_check(monkeypatch):
+    calls = []
+
+    def counted(table):
+        calls.append(table)
+        return validate_group(table)
+
+    for module in ("groupoids.construct", "groupoids.overlay"):
+        monkeypatch.setattr(f"{module}.validate_group", counted)
+    z4 = cyclic_group(4)
+
+    def checks(build) -> int:
+        calls.clear()
+        build(z4)
+        return len(calls)
+
+    # def32's structural report checks the arrow and the object group; the
+    # single-unit build also checks its input up front, before commutativity
+    assert checks(null_group_groupoid) == 2
+    assert checks(group_pair_groupoid) == 2
+    assert checks(single_unit_group_groupoid) == 3
 
 
 def test_constructor_rejects_its_own_invalid_output(monkeypatch):

@@ -12,6 +12,7 @@ from groupoids import (
     composable,
     conjugation_iso,
     cyclic_group,
+    direct_product_groupoids,
     fiber,
     group_as_single_unit_groupoid,
     is_transitive,
@@ -197,14 +198,27 @@ def test_structure_identities_on_valid_inputs():
     assert not any(n.rule == "isotropy-isomorphic" for n in report.notes)
 
 
-def test_structure_identities_isotropy_cap():
-    g = group_as_single_unit_groupoid(cyclic_group(13))  # order above ISO_SEARCH_CAP
-    capped = structure_identities(g)
-    assert capped.valid
-    assert any(
-        n.rule == "isotropy-isomorphic" and n.status == "skipped"
-        for n in capped.notes
-    )
+def pair_times_group(group):
+    return direct_product_groupoids(pair_groupoid(["u", "v"]), group_as_single_unit_groupoid(group))
+
+
+def test_structure_identities_compares_isotropy_of_every_order():
+    for group in (symmetric_group(4), cyclic_group(13)):
+        report = structure_identities(pair_times_group(group))
+        assert report.valid
+        assert not any(n.rule == "isotropy-isomorphic" for n in report.notes)
+
+
+def test_structure_identities_reports_nonisomorphic_isotropy():
+    g = pair_times_group(cyclic_group(4))
+    # the loops at (v|0) become the Klein group: x+y is the xor of the digits
+    loop = {d: f"((v|v)|{d})" for d in "0123"}
+    klein = {(loop[x], loop[y]): loop[str(int(x) ^ int(y))] for x in loop for y in loop}
+    broken = rebuild(g, prod={**g.prod, **klein}, inv={**g.inv, **{x: x for x in loop.values()}})
+    found = structure_identities(broken).by_rule("isotropy-isomorphic")
+    assert [(v.witness, v.message) for v in found] == [
+        (("(u|0)", "(v|0)"), "isotropy groups are not isomorphic")
+    ]
 
 
 def test_structure_identities_isotropy_note_when_intransitive():

@@ -1,4 +1,7 @@
+import random
 import re
+from functools import reduce
+from itertools import permutations, product
 
 import pytest
 
@@ -102,20 +105,119 @@ def test_is_group_hom():
     assert not is_group_hom(swap, z4, z2)
 
 
-def test_find_isomorphism_positive():
-    z6 = cyclic_group(6)
-    p = direct_product_groups(cyclic_group(2), cyclic_group(3))
-    f = find_isomorphism(z6, p)
+def table_of(elements, mul) -> GroupTable:
+    """The group of mul on tuples, each written as the string of its entries."""
+    tok = {x: "".join(map(str, x)) for x in elements}
+    identity = next(x for x in elements if all(mul(x, y) == y for y in elements))
+    return GroupTable(
+        frozenset(tok.values()),
+        {(tok[x], tok[y]): tok[mul(x, y)] for x in elements for y in elements},
+        tok[identity],
+        {tok[x]: tok[y] for x in elements for y in elements if mul(x, y) == identity},
+    )
+
+
+def heisenberg3() -> GroupTable:
+    """Upper unitriangular 3x3 matrices mod 3: exponent 3 like Z_3^3, not abelian."""
+    def mul(x, y):
+        return ((x[0] + y[0]) % 3, (x[1] + y[1]) % 3, (x[2] + y[2] + x[0] * y[1]) % 3)
+    return table_of(list(product(range(3), repeat=3)), mul)
+
+
+def quaternion8() -> GroupTable:
+    """Q_8 as (sign, unit) pairs with i.j = k, j.k = i, k.i = j."""
+    cycle = "ijk"
+
+    def mul(x, y):
+        (s, u), (t, v) = x, y
+        if u == "1" or v == "1":
+            return (s * t, v if u == "1" else u)
+        if u == v:
+            return (-s * t, "1")
+        w = next(c for c in cycle if c not in (u, v))
+        return (s * t * (1 if cycle.index(v) == (cycle.index(u) + 1) % 3 else -1), w)
+    return table_of([(s, u) for s in (1, -1) for u in "1ijk"], mul)
+
+
+def relabelled(table: GroupTable, seed: int) -> GroupTable:
+    """The same group on the tokens t0, t1, ..., assigned by a seeded shuffle."""
+    elems = sorted(table.elements)
+    names = [f"t{i}" for i in range(len(elems))]
+    random.Random(seed).shuffle(names)
+    r = dict(zip(elems, names))
+    return GroupTable(
+        frozenset(names),
+        {(r[x], r[y]): r[z] for (x, y), z in table.op.items()},
+        r[table.identity],
+        {r[x]: r[y] for x, y in table.inverse.items()},
+    )
+
+
+def brute_force_isomorphic(a: GroupTable, b: GroupTable) -> bool:
+    """The reference: some bijection of the elements respects the operations."""
+    elems = sorted(a.elements)
+    return len(a.elements) == len(b.elements) and any(
+        is_group_hom(dict(zip(elems, image)), a, b) for image in permutations(sorted(b.elements))
+    )
+
+
+Z = cyclic_group
+SMALL_GROUPS = {  # the package's groups and their products, up to order 6
+    "1": trivial_group(), "Z1": Z(1), "Z2": Z(2), "S2": symmetric_group(2), "Z3": Z(3),
+    "Z4": Z(4), "Z2xZ2": direct_product_groups(Z(2), Z(2)), "Z5": Z(5), "Z6": Z(6),
+    "S3": symmetric_group(3), "Z2xZ3": direct_product_groups(Z(2), Z(3)),
+    "Z3xZ2": direct_product_groups(Z(3), Z(2)),
+}
+CLASS = {"1": "1", "Z1": "1", "S2": "Z2", "Z2xZ3": "Z6", "Z3xZ2": "Z6"}
+SMALL_PAIRS = [
+    (x, y) for x, a in SMALL_GROUPS.items() for y, b in SMALL_GROUPS.items()
+    if len(a.elements) == len(b.elements)
+]
+LARGER_GROUPS = {
+    "S4": symmetric_group(4),
+    "Z2^6": reduce(direct_product_groups, [Z(2)] * 6),
+    "S3xS3": direct_product_groups(symmetric_group(3), symmetric_group(3)),
+    "Heis3": heisenberg3(),
+    "Z3^3": reduce(direct_product_groups, [Z(3)] * 3),
+    "Z4xZ4": direct_product_groups(Z(4), Z(4)),
+    "Z2xQ8": direct_product_groups(Z(2), quaternion8()),
+}
+HARD_PAIRS = [("Z3^3", "Heis3"), ("Z4xZ4", "Z2xQ8")]  # equal order statistics
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [pytest.param(SMALL_GROUPS[x], SMALL_GROUPS[y], id=f"{x}-{y}")
+     for x, y in SMALL_PAIRS if CLASS.get(x, x) == CLASS.get(y, y)]
+    + [pytest.param(g, relabelled(g, seed), id=f"{x}-relabelled-{seed}")
+       for x, g in LARGER_GROUPS.items() if x in ("S4", "Z2^6", "S3xS3", "Heis3")
+       for seed in (1, 2)],
+)
+def test_find_isomorphism_positive(a, b):
+    f = find_isomorphism(a, b)
     assert f is not None
-    assert is_group_hom(f, z6, p)
-    assert len(set(f.values())) == 6
+    assert is_group_hom(f, a, b)
+    assert sorted(f.values()) == sorted(b.elements)
+    if len(a.elements) <= 6:
+        assert brute_force_isomorphic(a, b)
 
 
-def test_find_isomorphism_negative():
-    z4 = cyclic_group(4)
-    klein = direct_product_groups(cyclic_group(2), cyclic_group(2))
-    assert find_isomorphism(z4, klein) is None
-    assert find_isomorphism(z4, cyclic_group(3)) is None
+@pytest.mark.parametrize(
+    "a, b",
+    [pytest.param(SMALL_GROUPS[x], SMALL_GROUPS[y], id=f"{x}-{y}")
+     for x, y in SMALL_PAIRS if CLASS.get(x, x) != CLASS.get(y, y)]
+    + [pytest.param(Z(4), Z(3), id="Z4-Z3")]
+    + [pytest.param(LARGER_GROUPS[x], LARGER_GROUPS[y], id=f"{x}-{y}")
+       for pair in HARD_PAIRS for x, y in (pair, pair[::-1])],
+)
+def test_find_isomorphism_negative(a, b):
+    assert validate_group(a).valid and validate_group(b).valid
+    assert find_isomorphism(a, b) is None
+    if len(a.elements) <= 6:
+        assert not brute_force_isomorphic(a, b)
+    else:  # equal order statistics: the search over generator images decides
+        orders = [sorted(element_order(t, x) for x in t.elements) for t in (a, b)]
+        assert orders[0] == orders[1]
 
 
 def test_validate_group_catches_broken_entry():
