@@ -132,9 +132,9 @@ def _want(sf: StructureFile, *kinds: str) -> None:
 def _cmd_validate(args) -> int:
     sf = load_structure_file(args.file)
     if sf.kind == "groupoid":
-        report = validate_groupoid(sf.structure, allow_nonsurjective=args.allow_nonsurjective)
+        report = validate_groupoid(sf.structure)
     elif sf.kind == "group_groupoid":
-        report = structural_report(sf.structure, allow_nonsurjective=args.allow_nonsurjective)
+        report = structural_report(sf.structure)
     elif sf.kind == "group":
         report = validate_group(sf.structure)
     else:
@@ -304,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="axioms of a structure file")
     p.add_argument("file")
-    p.add_argument("--allow-nonsurjective", action="store_true",
-                   help="report non-surjective endpoint maps as notes, not violations")
     _add_format(p)
     p.set_defaults(handler=_cmd_validate)
 

@@ -3,14 +3,14 @@
 Each shape has one builder in core (_null, _single_unit, _pair, _product).
 A public constructor checks its inputs, builds, and checks only the structure
 it returns, once: validate_groupoid for a groupoid, check_group_groupoid in
-mode def32 (which validates the base and both tables) for a group-groupoid,
-whose object-group violations refuse the input table; tests cross-check
-def31.  A group is its one-object groupoid, so every product is _product's.
+mode def32 (which validates the base and both tables) for a group-groupoid;
+tests cross-check def31.  A group-groupoid constructor refuses a non-group
+input table with InvalidGroup before it builds.  A group is its one-object
+groupoid, so every product is _product's.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable
 
 from .core import (
@@ -31,7 +31,6 @@ from .report import (
     InvalidGroup,
     InvalidInput,
     NonCommutativeGroup,
-    ValidationReport,
 )
 
 __all__ = [
@@ -55,13 +54,9 @@ def _verified(g: FiniteGroupoid) -> FiniteGroupoid:
 
 
 def _verified_gg(gg: GroupGroupoid) -> GroupGroupoid:
-    """InvalidGroup, as validate_group(object group) would name it, if the
-    object group is not a group; InternalCheckFailed for any other violation."""
-    report = check_group_groupoid(gg, mode="def32")
-    table = [replace(v, rule=v.rule.removeprefix("object-group:")) for v in report.violations
-             if v.rule.startswith("object-group:")]
-    ValidationReport(tuple(table)).require(InvalidGroup, "not a group")
-    report.require(InternalCheckFailed, "constructor produced an invalid group-groupoid")
+    check_group_groupoid(gg, mode="def32").require(
+        InternalCheckFailed, "constructor produced an invalid group-groupoid"
+    )
     return gg
 
 
@@ -108,6 +103,7 @@ def direct_product_groups(a: GroupTable, b: GroupTable) -> GroupTable:
 
 def null_group_groupoid(table: GroupTable) -> GroupGroupoid:
     """Null groupoid on the elements, with the group acting on arrows and objects alike."""
+    validate_group(table).require(InvalidGroup, "not a group")
     return _verified_gg(
         GroupGroupoid(
             base=_null(table.elements),
@@ -123,7 +119,6 @@ def single_unit_group_groupoid(table: GroupTable) -> GroupGroupoid:
     Commutativity is required: for a non-commutative table the interchange law
     already fails, and the witness pair is reported in the error.
     """
-    # checked here, not by def32: its interchange costs m^4 on a non-commutative table
     validate_group(table).require(InvalidGroup, "not a group")
     witness = noncommuting_pair(table)
     if witness is not None:
@@ -143,8 +138,7 @@ def single_unit_group_groupoid(table: GroupTable) -> GroupGroupoid:
 
 def group_pair_groupoid(table: GroupTable) -> GroupGroupoid:
     """Pair groupoid on the elements with componentwise addition on the arrows."""
-    # direct_product_groups would refuse a product outside the elements as InvalidInput
-    closure_report(table).require(InvalidGroup, "not a group")
+    validate_group(table).require(InvalidGroup, "not a group")
     return _verified_gg(
         GroupGroupoid(
             base=_pair(table.elements),

@@ -213,16 +213,16 @@ def _product(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
     )
 
 
-def validate_groupoid(
-    g: FiniteGroupoid, *, allow_nonsurjective: bool = False
-) -> ValidationReport:
+def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustive check of the groupoid axioms.
 
     Covers: the product is stored on exactly the composable pairs; source and
     target of a product come from its factors; associativity; unit laws;
     inverse laws; surjectivity of source and target; injectivity of the unit
-    map.  With allow_nonsurjective the surjectivity failures downgrade to
-    warning notes.
+    map.  Theorem: an object u that no arrow has as source (or target) also
+    fails unit-endpoints at (u, unit(u)), since the unit axiom asks for the
+    arrow unit(u): u -> u.  So a surjectivity violation never decides a
+    verdict alone.
     """
     rb = ReportBuilder()
     arrows = sorted(g.arrows)
@@ -317,10 +317,7 @@ def validate_groupoid(
 
     for rule, mapping in (("source-surjective", g.src), ("target-surjective", g.tgt)):
         for u in sorted(g.objects - set(mapping.values())):
-            if allow_nonsurjective:
-                rb.note(rule, "warning", f"no arrow has {rule.split('-')[0]} {u}")
-            else:
-                rb.violation(rule, (u,), f"no arrow has {rule.split('-')[0]} {u}")
+            rb.violation(rule, (u,), f"no arrow has {rule.split('-')[0]} {u}")
 
     return rb.build()
 

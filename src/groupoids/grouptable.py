@@ -292,7 +292,7 @@ def element_order(table: GroupTable, x: str) -> int:
     y = x
     n = 1
     while y != table.identity:
-        y = table.op[(y, x)]
+        y = table.op.get((y, x))
         n += 1
         if n > len(table.elements):
             return n  # impossible in a group; sentinel for broken input

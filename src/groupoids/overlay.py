@@ -88,15 +88,10 @@ class GroupGroupoid:
             raise MalformedStructure("object group must be defined on exactly the object set")
 
 
-def structural_report(
-    gg: GroupGroupoid, *, allow_nonsurjective: bool = False
-) -> ValidationReport:
+def structural_report(gg: GroupGroupoid) -> ValidationReport:
     """Groupoid axioms on the base plus group axioms on both tables."""
     rb = ReportBuilder()
-    rb.absorb(
-        validate_groupoid(gg.base, allow_nonsurjective=allow_nonsurjective),
-        prefix="base:",
-    )
+    rb.absorb(validate_groupoid(gg.base), prefix="base:")
     rb.absorb(validate_group(gg.arrow_group), prefix="arrow-group:")
     rb.absorb(validate_group(gg.object_group), prefix="object-group:")
     return rb.build()

@@ -85,7 +85,7 @@ class Note:
     """A non-failure remark: a skipped or not-applicable check, or an info line."""
 
     rule: str
-    status: str  # "skipped" | "not-applicable" | "warning" | "info"
+    status: str  # "skipped" | "not-applicable" | "info"
     message: str
 
 

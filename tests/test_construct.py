@@ -124,19 +124,26 @@ def test_product_rejects_invalid_factor(s3_control):
         direct_product_groupoids(pair, broken)
 
 
-def test_constructors_reject_broken_tables():
+def test_constructors_reject_broken_tables(monkeypatch):
+    def refuse(gg, mode):
+        raise AssertionError("a constructor built from a table that is not a group")
+
+    # the input table is refused before any structure is built and checked
+    monkeypatch.setattr("groupoids.construct.check_group_groupoid", refuse)
     z3 = cyclic_group(3)
     op = dict(z3.op)
     op[("1", "1")] = "1"
     broken = GroupTable(z3.elements, op, z3.identity, z3.inverse)
-    with pytest.raises(InvalidGroup):
+    message = "^not a group: associativity at 1,1,2$"
+    with pytest.raises(InvalidGroup, match=message):
         null_group_groupoid(broken)
-    with pytest.raises(InvalidGroup):
+    with pytest.raises(InvalidGroup, match=message):
         group_pair_groupoid(broken)
     s3 = symmetric_group(3)
     op = dict(s3.op)
     op[("021", "021")] = "021"
-    with pytest.raises(InvalidGroup):  # broken first, non-commutative second
+    message = "^not a group: associativity at 021,021,102$"
+    with pytest.raises(InvalidGroup, match=message):  # broken first, non-commutative second
         single_unit_group_groupoid(GroupTable(s3.elements, op, s3.identity, s3.inverse))
 
 
@@ -168,7 +175,7 @@ def test_constructors_check_their_output_in_def32_only(monkeypatch):
     assert checks(lambda: anchor_morphism(pair)) == 1
 
 
-def test_constructors_check_their_input_table_in_the_output_check(monkeypatch):
+def test_constructors_check_their_input_table_up_front_and_in_the_output_check(monkeypatch):
     calls = []
 
     def counted(table):
@@ -184,10 +191,10 @@ def test_constructors_check_their_input_table_in_the_output_check(monkeypatch):
         build(z4)
         return len(calls)
 
-    # def32's structural report checks the arrow and the object group; the
-    # single-unit build also checks its input up front, before commutativity
-    assert checks(null_group_groupoid) == 2
-    assert checks(group_pair_groupoid) == 2
+    # each build checks its input up front, then def32's structural report
+    # checks the arrow and the object group of what it built
+    assert checks(null_group_groupoid) == 3
+    assert checks(group_pair_groupoid) == 3
     assert checks(single_unit_group_groupoid) == 3
 
 

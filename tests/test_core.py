@@ -154,7 +154,7 @@ def test_validate_catches_shared_unit():
     assert "unit-endpoints" in report.rules()
 
 
-def test_nonsurjective_endpoints_reported_or_tolerated():
+def test_nonsurjective_endpoints_reported_with_their_unit():
     g = FiniteGroupoid(
         objects=frozenset({"u", "v"}),
         arrows=frozenset({"x"}),
@@ -164,12 +164,10 @@ def test_nonsurjective_endpoints_reported_or_tolerated():
         inv={"x": "x"},
         prod={("x", "x"): "x"},
     )
-    strict = validate_groupoid(g)
-    assert "source-surjective" in strict.rules()
-    relaxed = validate_groupoid(g, allow_nonsurjective=True)
-    assert "source-surjective" not in relaxed.rules()
-    assert any(n.rule == "source-surjective" and n.status == "warning"
-               for n in relaxed.notes)
+    report = validate_groupoid(g)
+    assert ("v",) in {v.witness for v in report.by_rule("source-surjective")}
+    # unit(v) = x is not v -> v, so the unit law fails wherever surjectivity does
+    assert ("v", "x") in {v.witness for v in report.by_rule("unit-endpoints")}
 
 
 def test_wellformedness_is_an_error_not_a_report():

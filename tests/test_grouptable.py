@@ -84,6 +84,9 @@ def test_element_order():
     assert element_order(z4, "0") == 1
     assert element_order(z4, "1") == 4
     assert element_order(z4, "2") == 2
+    z3 = cyclic_group(3)
+    broken = GroupTable(z3.elements, {**z3.op, ("1", "1"): "zz"}, z3.identity, z3.inverse)
+    assert element_order(broken, "1") == len(z3.elements) + 1  # the broken-table sentinel
 
 
 def test_direct_product():

@@ -237,11 +237,17 @@ def test_fiber_index_matches_the_exhaustive_scan(gg):
     assert list(g.composable_pairs()) == [
         (x, y) for x in arrows for y in arrows if g.tgt[x] == g.src[y]
     ]
+    report = validate_groupoid(g)
     for side, mapping in (("source", g.src), ("target", g.tgt)):
         for u in sorted(g.objects):
             scan = [x for x in arrows if mapping[x] == u]
             assert fiber(g, side, u) == frozenset(scan)
             assert g.fibers.get((side, u), ()) == tuple(scan)
+            if not scan:
+                # the unit axiom asks for unit(u): u -> u, so a map that misses u
+                # always comes with a unit-endpoints violation at u
+                assert (u,) in {v.witness for v in report.by_rule(f"{side}-surjective")}
+                assert (u, g.unit[u]) in {v.witness for v in report.by_rule("unit-endpoints")}
 
 
 @given(constructed())
