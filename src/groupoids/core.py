@@ -176,8 +176,9 @@ def _pair(objects: frozenset[str]) -> FiniteGroupoid:
 def _product(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
     """Componentwise structure on pair tokens; pairs compose iff both components do.
 
-    The factors need not be valid: def31 builds the product of a structure it
-    has yet to decide.  Pair tokens of identifiers are identifiers, so the
+    The factors need not be valid: direct_product_groups multiplies the
+    one-object groupoids of closed tables that it does not check to be
+    groups.  Pair tokens of identifiers are identifiers, so the
     result is well formed and is built unchecked; _null and _pair take caller
     tokens, which may not be identifiers, and are checked.
     """

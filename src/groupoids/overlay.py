@@ -2,18 +2,22 @@
 
 The compatibility between the two layers can be decided two independent ways:
 
-* mode ``def31``: ask, with the generic morphism validator, whether addition
-  (from the doubled groupoid G x G), the identity element (from a one-point
-  groupoid) and negation are groupoid morphisms; on an otherwise valid
-  structure an exact certificate (the bifunctor lemma, 2*P*|O| + 5*A^2 + O^2
-  checks) may accept addition first, without building G x G;
+* mode ``def31``: ask whether addition G x G -> G, the identity element
+  (from a one-point groupoid) and negation are groupoid morphisms.  The
+  identity and negation go through the generic morphism validator.  The
+  instances of that validator on addition are read off G's own tables, so
+  the doubled groupoid G x G is never built; on an otherwise valid structure
+  an exact certificate (the bifunctor lemma, 2*P*|O| + 5*A^2 + O^2 checks)
+  may accept addition first;
 * mode ``def32``: check by direct enumeration that source, target, unit and
   inversion respect addition, plus the interchange law
   (x.y) + (z.t) = (x+z).(y+t); on an otherwise valid structure an exact
   certificate may accept interchange first.
 
 A certificate may only accept; when it refuses, the enumeration runs
-unchanged, so reports are the same either way.
+unchanged, so reports are the same either way.  The two P^2 enumerations
+read one integer view of the arrows (_numbered) a row of C-level lookups at
+a time; their loops are separate, so def31 stays independent of def32.
 
 The two procedures provably agree on every input, including broken ones, and
 mode ``both`` runs them side by side and treats disagreement as a fatal bug.
@@ -22,18 +26,22 @@ mode ``both`` runs them side by side and treats disagreement as a fatal bug.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import compress, count, product, starmap
+from operator import add as plus, ne
+from typing import Iterable, Iterator
 
 from .core import (
     FiniteGroupoid,
     Morphism,
     _loops,
     _null,
-    _product,
     validate_groupoid,
     validate_morphism,
 )
 from .grouptable import (
     GroupTable,
+    _rows,
     additivity_report,
     closure_gate,
     closure_report,
@@ -97,28 +105,67 @@ def structural_report(gg: GroupGroupoid) -> ValidationReport:
     return rb.build()
 
 
+def _numbered(gg: GroupGroupoid) -> tuple[list, dict, list, list]:
+    """The integer view that def31 and def32 enumerate over; the arrow group
+    must be closed.
+
+    Returns (arrows, number, add, prod): arrows sorted, so that arrows[i] has
+    the number i = number[arrows[i]]; add[i][j] numbers arrows[i] + arrows[j];
+    prod[i*A + j] numbers arrows[i].arrows[j], or is None where G stores no
+    product.
+    """
+    arrows, add = _rows(gg.arrow_group)
+    number = {x: i for i, x in enumerate(arrows)}
+    n = len(arrows)
+    prod: list[int | None] = [None] * (n * n)
+    for (x, y), xy in gg.base.prod.items():
+        prod[number[x] * n + number[y]] = number[xy]
+    return arrows, number, add, prod
+
+
+def _mismatches(lhs: Iterable, rhs: Iterable) -> Iterator[int]:
+    """The positions where two equally long rows differ."""
+    return compress(count(), map(ne, lhs, rhs))
+
+
 def check_interchange(gg: GroupGroupoid) -> ValidationReport:
-    """Exhaustive interchange law over all pairs of stored composable pairs."""
+    """Exhaustive interchange law over all pairs of stored composable pairs;
+    def32's enumeration and the reference its certificate is tested against.
+
+    On the integer view: for each stored composable pair (x, y), one row of
+    C-level lookups gives (x+z).(y+t) and (x.y)+(z.t) for every stored
+    composable (z, t), and only the positions where they differ (or the
+    former is not stored) come back to Python.  Costs P^2 row steps for P
+    stored composable pairs, in O(A^2 + P) extra memory.
+    """
     g = gg.base
-    add = gg.arrow_group.op
+    arrows, number, add, prod = _numbered(gg)
+    n = len(arrows)
+    # in sorted order, so that the report's sort meets one sorted run
+    numbered = ((number[x], number[y]) for x, y in g.composable_pairs())
+    pairs = [(x, y, xy) for x, y in numbered if (xy := prod[x * n + y]) is not None]
+    zs = [z for z, _, _ in pairs]
+    ts = [t for _, t, _ in pairs]
+    zts = [zt for _, _, zt in pairs]
+    shifted = [[s * n for s in row] for row in add]  # row index of x+z in prod
     rb = ReportBuilder()
-    pairs = [p for p in g.composable_pairs() if p in g.prod]
-    for x, y in pairs:
-        for z, t in pairs:
-            xz = add[(x, z)]
-            yt = add[(y, t)]
-            combined = g.prod.get((xz, yt))
-            if combined is None:
-                rb.violation(
-                    "interchange", (x, y, z, t), f"({xz},{yt}) is not composable"
-                )
-                continue
-            lhs = add[(g.prod[(x, y)], g.prod[(z, t)])]
-            if lhs != combined:
+    for x, y, xy in pairs:
+        combined = list(map(prod.__getitem__, map(
+            plus, map(shifted[x].__getitem__, zs), map(add[y].__getitem__, ts)
+        )))
+        lhs = add[xy]
+        for j in _mismatches(combined, map(lhs.__getitem__, zts)):
+            z, t = zs[j], ts[j]
+            witness = (arrows[x], arrows[y], arrows[z], arrows[t])
+            if combined[j] is None:
+                xz, yt = arrows[add[x][z]], arrows[add[y][t]]
+                rb.violation("interchange", witness, f"({xz},{yt}) is not composable")
+            else:
                 rb.violation(
                     "interchange",
-                    (x, y, z, t),
-                    f"(x.y)+(z.t) = {lhs} but (x+z).(y+t) = {combined}",
+                    witness,
+                    f"(x.y)+(z.t) = {arrows[lhs[zts[j]]]} "
+                    f"but (x+z).(y+t) = {arrows[combined[j]]}",
                 )
     return rb.build()
 
@@ -209,8 +256,9 @@ def _addition_certificate(gg: GroupGroupoid) -> bool:
 
     Only morphism facts are used, never def32's additivity or interchange,
     so def31 stays independent of def32.  False proves nothing; the caller
-    then builds G x G and runs validate_morphism.  Costs 2*P*|O| + 5*A^2 + O^2
-    checks for P stored products, A arrows and O objects.
+    then enumerates every instance with _addition_report.  Costs
+    2*P*|O| + 5*A^2 + O^2 checks for P stored products, A arrows and O
+    objects.
     """
     g = gg.base
     add, add0 = gg.arrow_group.op, gg.object_group.op
@@ -236,21 +284,113 @@ def _addition_certificate(gg: GroupGroupoid) -> bool:
     )
 
 
+def _addition_report(gg: GroupGroupoid) -> ValidationReport:
+    """validate_morphism(addition: G x G -> G), read off G's own tables.
+
+    G x G has the arrows (x|z) and objects (u|v) with componentwise structure
+    maps, and stores (x|z).(y|t) exactly when G stores x.y and z.t; pair
+    tokens of distinct pairs of identifiers are distinct.  So its instances
+    are M1 and inverse compatibility per arrow pair (x, z), unit
+    compatibility per object pair (u, v), and M2 per pair of composable
+    pairs (x, y), (z, t) of G, stored or not, with validate_morphism's rules,
+    witnesses and messages.  Each row is C-level work over the integer view,
+    and only mismatching positions come back to Python; an unstored
+    composable pair always does, since its image may be missing.  Costs
+    P_c^2 row steps for P_c composable pairs plus 2*A^2 + O^2 checks, in
+    O(A^2 + P_c) extra memory; G x G is never built.
+    """
+    g = gg.base
+    arrows, number, add, prod = _numbered(gg)
+    objects, add0 = _rows(gg.object_group)
+    n = len(arrows)
+    place = {u: i for i, u in enumerate(objects)}
+    src = [place[g.src[x]] for x in arrows]
+    tgt = [place[g.tgt[x]] for x in arrows]
+    inv = [number[g.inv[x]] for x in arrows]
+    unit = [number[g.unit[u]] for u in objects]
+    token = cache(pair_token)
+    rb = ReportBuilder()
+
+    for x, row in enumerate(add):
+        for rule, word, ends in (("M1-source", "src", src), ("M1-target", "tgt", tgt)):
+            want = add0[ends[x]]
+            for z in _mismatches(map(ends.__getitem__, row), map(want.__getitem__, ends)):
+                a = token(arrows[x], arrows[z])
+                rb.violation(
+                    rule,
+                    (a,),
+                    f"{word}(f({a})) = {objects[ends[row[z]]]} "
+                    f"but f0({word}({a})) = {objects[want[ends[z]]]}",
+                )
+        inverted = add[inv[x]]
+        for z in _mismatches(map(inverted.__getitem__, inv), map(inv.__getitem__, row)):
+            a = token(arrows[x], arrows[z])
+            rb.violation(
+                "inverse-compatibility",
+                (a,),
+                f"f(inv({a})) = {arrows[inverted[inv[z]]]} but inv(f({a})) = {arrows[inv[row[z]]]}",
+            )
+    for u, row in enumerate(add0):
+        units = add[unit[u]]
+        for v in _mismatches(map(units.__getitem__, unit), map(unit.__getitem__, row)):
+            p = token(objects[u], objects[v])
+            rb.violation(
+                "unit-compatibility",
+                (p,),
+                f"f(unit({p})) = {arrows[units[unit[v]]]} "
+                f"but unit(f0({p})) = {arrows[unit[row[v]]]}",
+            )
+
+    # M2 runs over the arrow pairs (x, z) in order, so the report's sort meets
+    # sorted runs; (x|z).(y|t) is composable iff y leaves b = tgt x and t
+    # leaves d = tgt z, and block[b][d] lists the numbers of y+t for those
+    out = [[number[y] for y in g.fibers.get(("source", b), ())] for b in objects]
+    block = [[[add[y][t] for y in ys for t in ts] for ts in out] for ys in out]
+    rows = [prod[i * n:(i + 1) * n] for i in range(n)]
+    # (x.y)+(z.t) is flat[left[x][i] + right[z][j]] for y = out[b][i] and
+    # t = out[d][j]; an unstored x.y or z.t lands on a -1, which no image
+    # equals, so every unstored composable pair is looked at
+    flat = [v for row in add for v in (*row, -1)] + [-1] * (n + 1)
+    left = [
+        [(n if xy is None else xy) * (n + 1) for xy in (prod[x * n + y] for y in out[tgt[x]])]
+        for x in range(n)
+    ]
+    right = [
+        [n if zt is None else zt for zt in (prod[z * n + t] for t in out[tgt[z]])]
+        for z in range(n)
+    ]
+    for x, row in enumerate(add):
+        b = tgt[x]
+        for z, xz in enumerate(row):
+            d = tgt[z]
+            images = list(map(rows[xz].__getitem__, block[b][d]))
+            expected = map(flat.__getitem__, starmap(plus, product(left[x], right[z])))
+            for j in _mismatches(images, expected):
+                i, k = divmod(j, len(out[d]))
+                y, t = out[b][i], out[d][k]
+                xy, zt, image = prod[x * n + y], prod[z * n + t], images[j]
+                a, c = token(arrows[x], arrows[z]), token(arrows[y], arrows[t])
+                if image is None:
+                    message = f"images ({arrows[xz]},{arrows[add[y][t]]}) are not composable"
+                elif xy is not None and zt is not None:
+                    message = (
+                        f"f({a}.{c}) = {arrows[add[xy][zt]]} but f({a}).f({c}) = {arrows[image]}"
+                    )
+                else:
+                    continue
+                rb.violation("M2-product", (a, c), message)
+    return rb.build()
+
+
 def _morphism_based_report(gg: GroupGroupoid, structure_valid: bool) -> ValidationReport:
     """Addition, the identity and negation as groupoid morphisms.  On a valid
-    structure _addition_certificate may accept addition; otherwise addition
-    is validated against the doubled groupoid G x G."""
+    structure _addition_certificate may accept addition; otherwise
+    _addition_report enumerates it."""
     g = gg.base
     point = "*"
     rb = ReportBuilder()
     if not (structure_valid and _addition_certificate(gg)):
-        addition = Morphism(
-            source=_product(g, g),
-            target=g,
-            f={pair_token(x, y): z for (x, y), z in gg.arrow_group.op.items()},
-            f0={pair_token(u, v): w for (u, v), w in gg.object_group.op.items()},
-        )
-        rb.absorb(validate_morphism(addition), prefix="add-map:")
+        rb.absorb(_addition_report(gg), prefix="add-map:")
     identity = Morphism(
         source=_ONE_POINT,
         target=g,

@@ -15,6 +15,7 @@ from groupoids import (
     InvalidGroup,
     Morphism,
     NotComposable,
+    ReportBuilder,
     ValidationReport,
     Vec2,
     aff_eval,
@@ -23,6 +24,7 @@ from groupoids import (
     anchor_morphism,
     check_derived_identities,
     check_group_groupoid,
+    check_interchange,
     cyclic_group,
     direct_product_group_groupoids,
     direct_product_groups,
@@ -30,6 +32,7 @@ from groupoids import (
     fiber,
     group_pair_groupoid,
     null_group_groupoid,
+    pair_token,
     parse_structure_file,
     reconstruct_from_group,
     single_unit_group_groupoid,
@@ -40,8 +43,10 @@ from groupoids import (
     validate_gg_morphism,
     validate_group,
     validate_groupoid,
+    validate_morphism,
 )
 
+import groupoids.core as core
 import groupoids.grouptable as grouptable
 import groupoids.overlay as overlay
 from conftest import (
@@ -305,6 +310,92 @@ def test_certificates_only_accept(gg):
         assert _certified_reports(gg) == fast
 
 
+def _interchange_by_four_loops(gg: GroupGroupoid) -> ValidationReport:
+    """The interchange law by four nested loops over the token tables: the
+    reference that check_interchange must reproduce."""
+    g = gg.base
+    add = gg.arrow_group.op
+    rb = ReportBuilder()
+    pairs = [p for p in g.composable_pairs() if p in g.prod]
+    for x, y in pairs:
+        for z, t in pairs:
+            xz = add[(x, z)]
+            yt = add[(y, t)]
+            combined = g.prod.get((xz, yt))
+            if combined is None:
+                rb.violation(
+                    "interchange", (x, y, z, t), f"({xz},{yt}) is not composable"
+                )
+                continue
+            lhs = add[(g.prod[(x, y)], g.prod[(z, t)])]
+            if lhs != combined:
+                rb.violation(
+                    "interchange",
+                    (x, y, z, t),
+                    f"(x.y)+(z.t) = {lhs} but (x+z).(y+t) = {combined}",
+                )
+    return rb.build()
+
+
+def _addition_on_the_doubled_groupoid(gg: GroupGroupoid) -> ValidationReport:
+    """validate_morphism on addition from the doubled groupoid G x G: the
+    reference that def31's enumeration must reproduce."""
+    addition = Morphism(
+        source=core._product(gg.base, gg.base),
+        target=gg.base,
+        f={pair_token(x, y): z for (x, y), z in gg.arrow_group.op.items()},
+        f0={pair_token(u, v): w for (u, v), w in gg.object_group.op.items()},
+    )
+    return validate_morphism(addition)
+
+
+def _assert_enumerations_match_their_references(gg: GroupGroupoid) -> None:
+    assert overlay._addition_report(gg).to_dict() == \
+        _addition_on_the_doubled_groupoid(gg).to_dict()
+    assert check_interchange(gg).to_dict() == _interchange_by_four_loops(gg).to_dict()
+
+
+def _with_source(gg: GroupGroupoid, x: str, u: str) -> GroupGroupoid:
+    g = gg.base
+    base = FiniteGroupoid(g.objects, g.arrows, {**g.src, x: u}, g.tgt, g.unit, g.inv, g.prod)
+    return GroupGroupoid(base, gg.arrow_group, gg.object_group)
+
+
+def _without_product(gg: GroupGroupoid, pair: tuple[str, str]) -> GroupGroupoid:
+    g = gg.base
+    prod = {k: v for k, v in g.prod.items() if k != pair}
+    base = FiniteGroupoid(g.objects, g.arrows, g.src, g.tgt, g.unit, g.inv, prod)
+    return GroupGroupoid(base, gg.arrow_group, gg.object_group)
+
+
+_GP_S3 = group_pair_groupoid(symmetric_group(3))
+_SU_Z16 = single_unit_group_groupoid(cyclic_group(16))
+# composable pairs without a stored product, whose images may be missing: a
+# shortcut that skips a row equal to its expected values drops their
+# "images (...) are not composable" violations
+UNSTORED_COMPOSABLE = [
+    _with_source(_GP_S3, "(021|102)", "120"),
+    _with_source(_GP_S3, "(012|012)", "210"),
+    _without_product(_SU_Z16, ("3", "5")),
+    _without_product(_SU_Z16, ("0", "0")),
+]
+
+
+@pytest.mark.parametrize("gg", UNSTORED_COMPOSABLE)
+def test_enumerations_match_their_references_on_unstored_composable_pairs(gg):
+    g = gg.base
+    assert any(p not in g.prod for p in g.composable_pairs())
+    _assert_enumerations_match_their_references(gg)
+    report = check_group_groupoid(gg, mode="def31")
+    assert any(v.message.endswith("are not composable") for v in report.violations)
+
+
+@given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated(), scrambled()))
+@settings(max_examples=80, deadline=None)
+def test_enumerations_match_their_references(gg):
+    _assert_enumerations_match_their_references(gg)
+
+
 class _CountingOp(dict):
     lookups = 0
 
@@ -318,11 +409,11 @@ def test_valid_input_takes_the_fast_paths(gg, monkeypatch):
     def exhaustive(gg):
         raise AssertionError("check_interchange ran on valid input")
 
-    def doubled(g, k):
-        raise AssertionError("def31 built the doubled groupoid of valid input")
+    def enumerated(gg):
+        raise AssertionError("def31 enumerated addition on valid input")
 
     monkeypatch.setattr(overlay, "check_interchange", exhaustive)
-    monkeypatch.setattr(overlay, "_product", doubled)
+    monkeypatch.setattr(overlay, "_addition_report", enumerated)
     for mode in ("def31", "def32", "both"):
         assert check_group_groupoid(gg, mode=mode).valid
     a = gg.arrow_group
@@ -332,6 +423,19 @@ def test_valid_input_takes_the_fast_paths(gg, monkeypatch):
     # building the index table reads each entry once; the identity and
     # inverse laws read 4 per element; the triple loop would read 4 m^3
     assert counted.op.lookups <= m * m + 4 * m
+
+
+@given(mutated())
+@settings(max_examples=60, deadline=None)
+def test_refused_input_never_builds_the_doubled_groupoid(gg):
+    def doubled(g, k):
+        raise AssertionError("def31 built the doubled groupoid")
+
+    assert not hasattr(overlay, "_product")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_product", doubled)
+        for mode in ("def31", "def32", "both"):
+            check_group_groupoid(gg, mode=mode)
 
 
 @given(group_groupoids())
