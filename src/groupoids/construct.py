@@ -18,6 +18,7 @@ from .core import (
 )
 from .grouptable import (
     GroupTable,
+    _unchecked,
     closure_report,
     noncommuting_pair,
     pair_token,
@@ -98,7 +99,7 @@ def direct_product_groups(a: GroupTable, b: GroupTable) -> GroupTable:
         closure_report(part).require(InvalidInput, "direct product factors must be closed")
     g = _product(_single_unit(a), _single_unit(b))
     (e,) = g.unit.values()
-    return GroupTable._unchecked(g.arrows, g.prod, e, g.inv)
+    return _unchecked(GroupTable, elements=g.arrows, op=g.prod, identity=e, inverse=g.inv)
 
 
 def null_group_groupoid(table: GroupTable) -> GroupGroupoid:

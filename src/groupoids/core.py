@@ -8,11 +8,14 @@ witnesses; nothing is inferred or repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import product as cartesian
 from typing import Iterator, Mapping
 
-from .grouptable import GroupTable, find_isomorphism, is_identifier, pair_token_table, validate_group
+from .grouptable import (
+    GroupTable, _associativity, _unchecked, find_isomorphism, is_identifier, pair_token_table,
+    validate_group,
+)
 from .report import (
     DomainMismatch,
     InternalCheckFailed,
@@ -59,22 +62,12 @@ class FiniteGroupoid:
     inv: Mapping[str, str]
     prod: Mapping[tuple[str, str], str]
 
+    # set by `fibers`; not functools.cached_property: a write through the
+    # instance __dict__ slows every later attribute read on CPython 3.11 by about a third
+    _fibers = None
+
     def __post_init__(self) -> None:
         check_wellformed(self)
-        # not functools.cached_property: a write through the instance __dict__
-        # slows every later attribute read on CPython 3.11 by about a third
-        object.__setattr__(self, "_fibers", None)
-
-    @classmethod
-    def _unchecked(cls, objects, arrows, src, tgt, unit, inv, prod) -> FiniteGroupoid:
-        """Build without check_wellformed, for a structure that is well formed
-        by its construction.  Sets the fields in declaration order, as
-        __init__ does, and never writes through __dict__."""
-        g = cls.__new__(cls)
-        for field, value in zip(fields(cls), (objects, arrows, src, tgt, unit, inv, prod)):
-            object.__setattr__(g, field.name, value)
-        object.__setattr__(g, "_fibers", None)
-        return g
 
     @property
     def fibers(self) -> dict[tuple[str, str], tuple[str, ...]]:
@@ -145,7 +138,8 @@ def _single_unit(table: GroupTable) -> FiniteGroupoid:
     formed, since table elements are identifiers, and is built unchecked."""
     e = table.identity
     const = {x: e for x in table.elements}
-    return FiniteGroupoid._unchecked(
+    return _unchecked(
+        FiniteGroupoid,
         objects=frozenset({e}),
         arrows=table.elements,
         src=const,
@@ -203,7 +197,8 @@ def _product(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
         row1, row2, row_z = tok[x1], tok[x2], tok[xz]
         for (y1, y2), yz in k.prod.items():
             prod[(row1[y1], row2[y2])] = row_z[yz]
-    return FiniteGroupoid._unchecked(
+    return _unchecked(
+        FiniteGroupoid,
         objects=frozenset(unit),
         arrows=frozenset(src),
         src=src,
@@ -218,7 +213,8 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustive check of the groupoid axioms.
 
     Covers: the product is stored on exactly the composable pairs; source and
-    target of a product come from its factors; associativity; unit laws;
+    target of a product come from its factors; associativity, by the loop
+    that validate_group runs (grouptable._associativity); unit laws;
     inverse laws; surjectivity of source and target; injectivity of the unit
     map.  Theorem: an object u that no arrow has as source (or target) also
     fails unit-endpoints at (u, unit(u)), since the unit axiom asks for the
@@ -248,20 +244,9 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
                 "G1-target", (x, y), f"target of product is {g.tgt[z]}, expected {g.tgt[y]}"
             )
 
-    for x, y in defined:
-        xy = g.prod[(x, y)]
-        for z in g.fibers.get(("source", g.tgt[y]), ()):
-            yz = g.prod.get((y, z))
-            left = g.prod.get((xy, z))
-            right = g.prod.get((x, yz)) if yz is not None else None
-            if left is None or right is None:
-                continue  # explained by domain / endpoint violations already
-            if left != right:
-                rb.violation(
-                    "G1-assoc",
-                    (x, y, z),
-                    f"({x}.{y}).{z} = {left} but {x}.({y}.{z}) = {right}",
-                )
+    # a missing product is explained by domain / endpoint violations already
+    _associativity(rb, "G1-assoc", g.prod, defined,
+                   lambda y: g.fibers.get(("source", g.tgt[y]), ()))
 
     unit_owner: dict[str, str] = {}
     for u in objects:

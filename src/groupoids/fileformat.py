@@ -256,13 +256,6 @@ def parse_structure_file(text: str) -> StructureFile:
     return StructureFile(kind, spec)
 
 
-def _emit_token(tok: str) -> str:
-    # structures hold only identifiers; a caller's MorphismSpec may hold anything
-    if not is_identifier(tok):
-        raise InvalidInput(f"identifier {tok!r} cannot be written to a structure file")
-    return tok
-
-
 def _wrap(name: str, entries: list[str], per_line: int) -> list[str]:
     lines = []
     for i in range(0, len(entries), per_line):
@@ -271,23 +264,19 @@ def _wrap(name: str, entries: list[str], per_line: int) -> list[str]:
 
 
 def _emit_map(name: str, mapping: Mapping[str, str], per_line: int = 6) -> list[str]:
-    entries = [
-        f"{_emit_token(k)}={_emit_token(v)}" for k, v in sorted(mapping.items())
-    ]
-    return _wrap(name, entries, per_line)
+    return _wrap(name, [f"{k}={v}" for k, v in sorted(mapping.items())], per_line)
 
 
 def _emit_pairs(
     name: str, mapping: Mapping[tuple[str, str], str], per_line: int = 4
 ) -> list[str]:
-    # only structures have product and op tables, and they hold only identifiers
     entries = [f"{x}.{y}={v}" for (x, y), v in sorted(mapping.items())]
     return _wrap(name, entries, per_line)
 
 
 def _emit_groupoid_sections(g: FiniteGroupoid) -> list[str]:
-    lines = _wrap("objects", sorted(_emit_token(u) for u in g.objects), 12)
-    lines += _wrap("arrows", sorted(_emit_token(x) for x in g.arrows), 12)
+    lines = _wrap("objects", sorted(g.objects), 12)
+    lines += _wrap("arrows", sorted(g.arrows), 12)
     lines += _emit_map("source", g.src)
     lines += _emit_map("target", g.tgt)
     lines += _emit_map("unit", g.unit)
@@ -299,7 +288,7 @@ def _emit_groupoid_sections(g: FiniteGroupoid) -> list[str]:
 def _emit_table_sections(prefix: str, table: GroupTable) -> list[str]:
     closure_report(table).require(InvalidInput, "cannot write a table that is not closed")
     lines = _emit_pairs(prefix + "op", table.op)
-    lines.append(f"{prefix}id: {_emit_token(table.identity)}")
+    lines.append(f"{prefix}id: {table.identity}")
     return lines + _emit_map(prefix + "inv", table.inverse)
 
 
@@ -315,7 +304,7 @@ def emit_structure_file(
         lines += _emit_table_sections("object_group_", structure.object_group)
     elif isinstance(structure, GroupTable):
         lines = ["kind: group"]
-        lines += _wrap("elements", sorted(_emit_token(x) for x in structure.elements), 12)
+        lines += _wrap("elements", sorted(structure.elements), 12)
         lines += _emit_table_sections("", structure)
     elif isinstance(structure, (Morphism, MorphismSpec)):
         if isinstance(structure, Morphism):
@@ -324,6 +313,12 @@ def emit_structure_file(
         else:
             from_path = structure.from_path
             to_path = structure.to_path
+            # structures hold only identifiers by construction; a caller's spec
+            # may hold anything
+            bad = [tok for m in (structure.f, structure.f0) for item in sorted(m.items())
+                   for tok in item if not is_identifier(tok)]
+            if bad:
+                raise InvalidInput(f"identifier {bad[0]!r} cannot be written to a structure file")
         lines = ["kind: morphism", f"from: {from_path}", f"to: {to_path}"]
         lines += _emit_map("f", structure.f)
         lines += _emit_map("f0", structure.f0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from itertools import permutations, product as cartesian
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .report import (
     DomainMismatch,
@@ -74,6 +74,16 @@ def pair_token_table(left: Iterable[str], right: Iterable[str]) -> dict[str, dic
     return {x: {y: pair_token(x, y) for y in right} for x in left}
 
 
+def _unchecked(cls, **values):
+    """The frozen dataclass cls built without its shape check, for a value well
+    formed by its construction: sets the fields in declaration order, as
+    __init__ does, and never writes through __dict__."""
+    obj = cls.__new__(cls)
+    for field in fields(cls):
+        object.__setattr__(obj, field.name, values[field.name])
+    return obj
+
+
 @dataclass(frozen=True)
 class GroupTable:
     """A finite group: elements, total binary operation, identity, inverse map.
@@ -89,16 +99,6 @@ class GroupTable:
 
     def __post_init__(self) -> None:
         check_table_wellformed(self)
-
-    @classmethod
-    def _unchecked(cls, elements, op, identity, inverse) -> GroupTable:
-        """Build without check_table_wellformed, for a table that is well formed
-        by its construction.  Sets the fields in declaration order, as
-        __init__ does, and never writes through __dict__."""
-        table = cls.__new__(cls)
-        for field, value in zip(fields(cls), (elements, op, identity, inverse)):
-            object.__setattr__(table, field.name, value)
-        return table
 
     def mul(self, first: str, *rest: str) -> str:
         """Left-to-right product of one or more elements."""
@@ -232,27 +232,36 @@ def _associativity_certificate(table: GroupTable) -> bool:
     )
 
 
+def _associativity(
+    rb: ReportBuilder, rule: str, prod: Mapping, pairs: Iterable, after: Callable
+) -> None:
+    """Report (x.y).z != x.(y.z) under rule for every (x, y) in pairs, whose
+    product is stored, and every z in after(y), skipping a triple with a
+    missing product.  The one associativity loop: a group is its one-object
+    groupoid, so validate_group and validate_groupoid both run it."""
+    for x, y in pairs:
+        xy = prod[(x, y)]
+        for z in after(y):
+            left, right = prod.get((xy, z)), prod.get((x, prod.get((y, z))))
+            if left != right and left is not None and right is not None:
+                rb.violation(rule, (x, y, z), f"({x}.{y}).{z} = {left} but {x}.({y}.{z}) = {right}")
+
+
 def validate_group(table: GroupTable) -> ValidationReport:
     """Group-axiom check: closure, associativity, identity and inverse laws.
 
     A product outside the element set is reported as closure, and
     associativity, which would compose it further, is then skipped.
-    Associativity is enumerated over all triples unless Light's test
-    (_associativity_certificate) proves it first.
+    Associativity is enumerated over all triples, by the loop that
+    validate_groupoid runs for G1-assoc (_associativity), unless Light's
+    test (_associativity_certificate) proves it first.
     """
     rb = ReportBuilder()
     elems = sorted(table.elements)
     op = table.op
     e = table.identity
     if closure_gate(rb, "associativity", {"": table}) and not _associativity_certificate(table):
-        for x, y, z in cartesian(elems, elems, elems):
-            xy, yz = op[(x, y)], op[(y, z)]
-            if op[(xy, z)] != op[(x, yz)]:
-                rb.violation(
-                    "associativity",
-                    (x, y, z),
-                    f"({x}.{y}).{z} = {op[(xy, z)]} but {x}.({y}.{z}) = {op[(x, yz)]}",
-                )
+        _associativity(rb, "associativity", op, cartesian(elems, elems), lambda y: elems)
     for x in elems:
         if op[(e, x)] != x:
             rb.violation("left-identity", (x,), f"{e}.{x} = {op[(e, x)]}")

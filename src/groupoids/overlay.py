@@ -17,7 +17,9 @@ The compatibility between the two layers can be decided two independent ways:
 A certificate may only accept; when it refuses, the enumeration runs
 unchanged, so reports are the same either way.  The two P^2 enumerations
 read one integer view of the arrows (_numbered) a row of C-level lookups at
-a time; their loops are separate, so def31 stays independent of def32.
+a time, in one shape: per composable pair (x, y), a row of (x+z).(y+t)
+against (x.y)+(z.t).  def32 walks the stored pairs, def31 all of them; the
+loops are separate, so def31 stays independent of def32.
 
 The two procedures provably agree on every input, including broken ones, and
 mode ``both`` runs them side by side and treats disagreement as a fatal bug.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, count, product, starmap
+from itertools import compress, count
 from operator import add as plus, ne
 from typing import Iterable, Iterator
 
@@ -105,14 +107,15 @@ def structural_report(gg: GroupGroupoid) -> ValidationReport:
     return rb.build()
 
 
-def _numbered(gg: GroupGroupoid) -> tuple[list, dict, list, list]:
+def _numbered(gg: GroupGroupoid) -> tuple[list, dict, list, list, list]:
     """The integer view that def31 and def32 enumerate over; the arrow group
     must be closed.
 
-    Returns (arrows, number, add, prod): arrows sorted, so that arrows[i] has
-    the number i = number[arrows[i]]; add[i][j] numbers arrows[i] + arrows[j];
-    prod[i*A + j] numbers arrows[i].arrows[j], or is None where G stores no
-    product.
+    Returns (arrows, number, add, prod, pairs): arrows sorted, so that
+    arrows[i] has the number i = number[arrows[i]]; add[i][j] numbers
+    arrows[i] + arrows[j]; prod[i*A + j] numbers arrows[i].arrows[j], or is
+    None where G stores no product; pairs holds every composable pair as
+    (x, y, x.y or None), sorted so that the report's sort meets sorted runs.
     """
     arrows, add = _rows(gg.arrow_group)
     number = {x: i for i, x in enumerate(arrows)}
@@ -120,7 +123,9 @@ def _numbered(gg: GroupGroupoid) -> tuple[list, dict, list, list]:
     prod: list[int | None] = [None] * (n * n)
     for (x, y), xy in gg.base.prod.items():
         prod[number[x] * n + number[y]] = number[xy]
-    return arrows, number, add, prod
+    numbered = ((number[x], number[y]) for x, y in gg.base.composable_pairs())
+    pairs = [(x, y, prod[x * n + y]) for x, y in numbered]
+    return arrows, number, add, prod, pairs
 
 
 def _mismatches(lhs: Iterable, rhs: Iterable) -> Iterator[int]:
@@ -138,12 +143,9 @@ def check_interchange(gg: GroupGroupoid) -> ValidationReport:
     former is not stored) come back to Python.  Costs P^2 row steps for P
     stored composable pairs, in O(A^2 + P) extra memory.
     """
-    g = gg.base
-    arrows, number, add, prod = _numbered(gg)
+    arrows, _, add, prod, pairs = _numbered(gg)
     n = len(arrows)
-    # in sorted order, so that the report's sort meets one sorted run
-    numbered = ((number[x], number[y]) for x, y in g.composable_pairs())
-    pairs = [(x, y, xy) for x, y in numbered if (xy := prod[x * n + y]) is not None]
+    pairs = [pair for pair in pairs if pair[2] is not None]
     zs = [z for z, _, _ in pairs]
     ts = [t for _, t, _ in pairs]
     zts = [zt for _, _, zt in pairs]
@@ -190,14 +192,24 @@ def _additivity_report(gg: GroupGroupoid) -> ValidationReport:
     return rb.build()
 
 
+def _reconstructed_products(gg: GroupGroupoid) -> Iterator[tuple[str, str, str | None, str]]:
+    """(x, y, stored x.y or None, x - unit(tgt x) + y) for every composable
+    pair, in sorted order; the arrow group must be closed."""
+    g = gg.base
+    add, neg = gg.arrow_group.op, gg.arrow_group.inverse
+    for x, y in g.composable_pairs():
+        yield x, y, g.prod.get((x, y)), add[(add[(x, neg[g.unit[g.tgt[x]]])], y)]
+
+
 def _interchange_certificate(gg: GroupGroupoid) -> bool:
     """True only if the interchange law holds; assumes the structural report
     and the additivity report are both clean.
 
     Theorem (the cat^1-group / crossed-module correspondence; Brown & Spencer
     1976, Loday 1982): given those, interchange holds if x.y equals
-    x - unit(tgt x) + y on every composable pair and every element of
-    ker src commutes with every element of ker tgt.  Proof: for composable
+    x - unit(tgt x) + y on every composable pair (reconstruct_from_group's
+    rule, read off _reconstructed_products) and every element of ker src
+    commutes with every element of ker tgt.  Proof: for composable
     (x, y) and (z, t) with b = tgt x and d = tgt z, (x+z, y+t) is composable
     because src and tgt are additive, and the formula with unit(b+d) =
     unit(b) + unit(d) turns interchange into a + c == c + a for
@@ -206,12 +218,10 @@ def _interchange_certificate(gg: GroupGroupoid) -> bool:
     False proves nothing; the caller then runs check_interchange.  Costs one
     step per composable pair plus |ker src| * |ker tgt|.
     """
+    if any(stored != rebuilt for _, _, stored, rebuilt in _reconstructed_products(gg)):
+        return False
     g = gg.base
-    A = gg.arrow_group
-    add, neg = A.op, A.inverse
-    for x, y in g.composable_pairs():
-        if g.prod[(x, y)] != add[(add[(x, neg[g.unit[g.tgt[x]]])], y)]:
-            return False
+    add = gg.arrow_group.op
     e0 = gg.object_group.identity
     ker_tgt = g.fibers.get(("target", e0), ())
     return all(
@@ -294,13 +304,15 @@ def _addition_report(gg: GroupGroupoid) -> ValidationReport:
     compatibility per object pair (u, v), and M2 per pair of composable
     pairs (x, y), (z, t) of G, stored or not, with validate_morphism's rules,
     witnesses and messages.  Each row is C-level work over the integer view,
-    and only mismatching positions come back to Python; an unstored
-    composable pair always does, since its image may be missing.  Costs
-    P_c^2 row steps for P_c composable pairs plus 2*A^2 + O^2 checks, in
-    O(A^2 + P_c) extra memory; G x G is never built.
+    and only mismatching positions come back to Python.  M2 walks the pairs
+    as check_interchange does, one row of (x+z).(y+t) against (x.y)+(z.t)
+    per (x, y); an unstored x.y or z.t reads a -1 pad that no image equals,
+    so an unstored composable pair always comes back, since its image may be
+    missing.  Costs P_c^2 row steps for P_c composable pairs plus
+    2*A^2 + O^2 checks, in O(A^2 + P_c) extra memory; G x G is never built.
     """
     g = gg.base
-    arrows, number, add, prod = _numbered(gg)
+    arrows, number, add, prod, pairs = _numbered(gg)
     objects, add0 = _rows(gg.object_group)
     n = len(arrows)
     place = {u: i for i, u in enumerate(objects)}
@@ -341,44 +353,28 @@ def _addition_report(gg: GroupGroupoid) -> ValidationReport:
                 f"but unit(f0({p})) = {arrows[unit[row[v]]]}",
             )
 
-    # M2 runs over the arrow pairs (x, z) in order, so the report's sort meets
-    # sorted runs; (x|z).(y|t) is composable iff y leaves b = tgt x and t
-    # leaves d = tgt z, and block[b][d] lists the numbers of y+t for those
-    out = [[number[y] for y in g.fibers.get(("source", b), ())] for b in objects]
-    block = [[[add[y][t] for y in ys for t in ts] for ts in out] for ys in out]
-    rows = [prod[i * n:(i + 1) * n] for i in range(n)]
-    # (x.y)+(z.t) is flat[left[x][i] + right[z][j]] for y = out[b][i] and
-    # t = out[d][j]; an unstored x.y or z.t lands on a -1, which no image
-    # equals, so every unstored composable pair is looked at
-    flat = [v for row in add for v in (*row, -1)] + [-1] * (n + 1)
-    left = [
-        [(n if xy is None else xy) * (n + 1) for xy in (prod[x * n + y] for y in out[tgt[x]])]
-        for x in range(n)
-    ]
-    right = [
-        [n if zt is None else zt for zt in (prod[z * n + t] for t in out[tgt[z]])]
-        for z in range(n)
-    ]
-    for x, row in enumerate(add):
-        b = tgt[x]
-        for z, xz in enumerate(row):
-            d = tgt[z]
-            images = list(map(rows[xz].__getitem__, block[b][d]))
-            expected = map(flat.__getitem__, starmap(plus, product(left[x], right[z])))
-            for j in _mismatches(images, expected):
-                i, k = divmod(j, len(out[d]))
-                y, t = out[b][i], out[d][k]
-                xy, zt, image = prod[x * n + y], prod[z * n + t], images[j]
-                a, c = token(arrows[x], arrows[z]), token(arrows[y], arrows[t])
-                if image is None:
-                    message = f"images ({arrows[xz]},{arrows[add[y][t]]}) are not composable"
-                elif xy is not None and zt is not None:
-                    message = (
-                        f"f({a}.{c}) = {arrows[add[xy][zt]]} but f({a}).f({c}) = {arrows[image]}"
-                    )
-                else:
-                    continue
-                rb.violation("M2-product", (a, c), message)
+    # M2: (x|z).(y|t) has the image (x+z).(y+t), and the product
+    # (x.y|z.t) the image (x.y)+(z.t), or the pad where it is not stored
+    zs = [z for z, _, _ in pairs]
+    ts = [t for _, t, _ in pairs]
+    zts = [n if zt is None else zt for _, _, zt in pairs]
+    padded = [[*row, -1] for row in add] + [[-1] * (n + 1)]
+    shifted = [[s * n for s in row] for row in add]  # row index of x+z in prod
+    for x, y, xy in pairs:
+        images = list(map(prod.__getitem__, map(
+            plus, map(shifted[x].__getitem__, zs), map(add[y].__getitem__, ts)
+        )))
+        lhs = padded[n if xy is None else xy]
+        for j in _mismatches(images, map(lhs.__getitem__, zts)):
+            z, t, image, want = zs[j], ts[j], images[j], lhs[zts[j]]
+            a, c = token(arrows[x], arrows[z]), token(arrows[y], arrows[t])
+            if image is None:
+                message = f"images ({arrows[add[x][z]]},{arrows[add[y][t]]}) are not composable"
+            elif want != -1:
+                message = f"f({a}.{c}) = {arrows[want]} but f({a}).f({c}) = {arrows[image]}"
+            else:
+                continue
+            rb.violation("M2-product", (a, c), message)
     return rb.build()
 
 
@@ -573,19 +569,18 @@ def unit_isotropy_report(
 def reconstruct_from_group(gg: GroupGroupoid) -> ValidationReport:
     """Recompute the partial product and the inversion from the group layer.
 
-    For every stored composable pair, x.y must equal x + (-unit(tgt(x))) + y,
-    and for every arrow, inv(x) must equal unit(src(x)) + (-x) + unit(tgt(x));
-    both comparisons are exact token equality.  A product outside the arrow
-    group's element set is reported as closure only.
+    For every composable pair, x.y must be stored and equal
+    x + (-unit(tgt(x))) + y (_reconstructed_products), and for every arrow,
+    inv(x) must equal unit(src(x)) + (-x) + unit(tgt(x)); both comparisons
+    are exact token equality.  A product outside the arrow group's element
+    set is reported as closure only.
     """
     g = gg.base
     A = gg.arrow_group
     rb = ReportBuilder()
     if not closure_gate(rb, "reconstruction", {"arrow-group:": A}):
         return rb.build()
-    for x, y in g.composable_pairs():
-        stored = g.prod.get((x, y))
-        rebuilt = A.mul(x, A.inverse[g.unit[g.tgt[x]]], y)
+    for x, y, stored, rebuilt in _reconstructed_products(gg):
         if stored != rebuilt:
             rb.violation(
                 "product-reconstruction",

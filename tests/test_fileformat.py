@@ -160,6 +160,10 @@ def test_emit_rejects_unwritable_tokens():
         GroupTable(frozenset({"a.b"}), {("a.b", "a.b"): "a.b"}, "a.b", {"a.b": "a.b"})
     with pytest.raises(InvalidInput, match="identifier 'a.b' cannot be written"):
         emit_structure_file(MorphismSpec("g.gpd", "g.gpd", {"a.b": "u"}, {"u": "u"}))
+    # the first bad token in sorted order of f's entries, then of f0's
+    spec = MorphismSpec("g.gpd", "g.gpd", {"u": "x=y", "t t": "u"}, {"a.b": "u"})
+    with pytest.raises(InvalidInput, match="identifier 't t' cannot be written"):
+        emit_structure_file(spec)
     with pytest.raises(MalformedStructure, match="bad identifier 'a.b'"):
         FiniteGroupoid(
             objects=frozenset({"a.b"}), arrows=frozenset({"a.b"}),

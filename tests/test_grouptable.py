@@ -20,7 +20,9 @@ from groupoids import (
     symmetric_group,
     trivial_group,
     validate_group,
+    validate_groupoid,
 )
+from groupoids.core import _single_unit
 from groupoids.grouptable import is_identifier
 
 
@@ -307,3 +309,45 @@ def test_light_test_rejects_a_closed_nonassociative_table(nonassociative_table):
 def test_a_table_element_must_be_an_identifier(tok):
     with pytest.raises(MalformedTable, match=re.escape(f"bad identifier {tok!r}")):
         GroupTable(frozenset({tok}), {(tok, tok): tok}, tok, {tok: tok})
+
+
+def _tables_up_to(order: int) -> list[GroupTable]:
+    """The tables the package builds up to the given order: trivial, cyclic,
+    symmetric, and direct products of two or three non-trivial ones."""
+    base = [trivial_group(), *map(cyclic_group, range(1, order + 1))]
+    base += [symmetric_group(n) for n in range(1, 4)]
+    factors = [t for t in base if len(t.elements) > 1]
+    pairs = [direct_product_groups(a, b) for a in factors for b in factors
+             if len(a.elements) * len(b.elements) <= order]
+    triples = [direct_product_groups(a, b) for a in pairs for b in factors
+               if len(a.elements) * len(b.elements) <= order]
+    return base + pairs + triples
+
+
+def _closed_mutants(table: GroupTable, rng: random.Random, count: int) -> list[GroupTable]:
+    """Tables with one op entry moved to another element."""
+    out = []
+    for _ in range(count):
+        key = rng.choice(sorted(table.op))
+        value = rng.choice(sorted(table.elements - {table.op[key]}))
+        out.append(GroupTable(table.elements, {**table.op, key: value}, table.identity,
+                              table.inverse))
+    return out
+
+
+def test_a_group_is_its_one_object_groupoid():
+    # validate_group's associativity is validate_groupoid's G1-assoc on the
+    # one-object groupoid: same witnesses, same messages
+    rng = random.Random(0)
+    tables = _tables_up_to(8)
+    tables += [m for t in tables if len(t.elements) > 1 for m in _closed_mutants(t, rng, 3)]
+    broken = 0
+    for table in tables:
+        group = [(v.witness, v.message) for v in validate_group(table).violations
+                 if v.rule == "associativity"]
+        groupoid = [(v.witness, v.message)
+                    for v in validate_groupoid(_single_unit(table)).violations
+                    if v.rule == "G1-assoc"]
+        assert group == groupoid
+        broken += bool(group)
+    assert broken > len(tables) // 4, broken
