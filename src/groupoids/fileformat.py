@@ -10,6 +10,8 @@ Identifiers may not contain whitespace, '#', '=' or '.', and '(', '|' and ')'
 only as a pair token (x|y) of two identifiers.  Every identifier an
 entry references must be declared in the same file, except in morphism files,
 whose maps refer to the two endpoint files named by ``from:`` and ``to:``.
+Each of those takes the rest of its line as a path, which must be non-empty
+and hold no '#'; the emitter refuses a path that would not read back.
 
 Parsing is strict and every error carries its 1-based line number.  Emitting
 is canonical (sorted entries, fixed wrapping), so parse(emit(s)) == s.
@@ -201,6 +203,8 @@ def parse_structure_file(text: str) -> StructureFile:
             raise StructureSyntaxError(f"unknown section '{name}' for kind {kind}", lineno)
         bucket = sections.setdefault(name, [])
         if name in _PATH_SECTIONS:
+            if not payload:
+                raise StructureSyntaxError(f"section '{name}' needs a path", lineno)
             bucket.append((lineno, payload))
         else:
             bucket.extend((lineno, tok) for tok in payload.split())
@@ -319,6 +323,10 @@ def emit_structure_file(
                    for tok in item if not is_identifier(tok)]
             if bad:
                 raise InvalidInput(f"identifier {bad[0]!r} cannot be written to a structure file")
+        for path in (from_path, to_path):
+            # the parser strips comments and surrounding whitespace and reads one line
+            if "#" in path or path != path.strip() or len(path.splitlines()) != 1:
+                raise InvalidInput(f"path {path!r} cannot be written to a morphism file")
         lines = ["kind: morphism", f"from: {from_path}", f"to: {to_path}"]
         lines += _emit_map("f", structure.f)
         lines += _emit_map("f0", structure.f0)

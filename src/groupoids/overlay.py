@@ -115,7 +115,9 @@ def _numbered(gg: GroupGroupoid) -> tuple[list, dict, list, list, list]:
     arrows[i] has the number i = number[arrows[i]]; add[i][j] numbers
     arrows[i] + arrows[j]; prod[i*A + j] numbers arrows[i].arrows[j], or is
     None where G stores no product; pairs holds every composable pair as
-    (x, y, x.y or None), sorted so that the report's sort meets sorted runs.
+    (x, y, x.y or None), sorted, so that violations reach the report in
+    sorted runs, which ``ReportBuilder.build`` merges in C; a nested report
+    joins them as one more sorted run.
     """
     arrows, add = _rows(gg.arrow_group)
     number = {x: i for i, x in enumerate(arrows)}

@@ -2,13 +2,16 @@
 
 Validators never raise on a broken axiom: they return a report whose
 violations carry the rule that failed and the identifiers witnessing the
-failure.  Exceptions are reserved for inputs that are not even well-formed
-enough to check; the structure types refuse those when they are built.
+failure, as named tuples ordered by rule, then witness, then message.
+Exceptions are reserved for inputs that are not even well-formed enough to
+check; the structure types refuse those when they are built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import intern
+from typing import NamedTuple
 
 
 class GroupoidError(Exception):
@@ -71,8 +74,7 @@ class InternalCheckFailed(GroupoidError):
     """
 
 
-@dataclass(frozen=True, order=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken rule together with the identifiers that witness it."""
 
     rule: str
@@ -80,8 +82,7 @@ class Violation:
     message: str
 
 
-@dataclass(frozen=True, order=True)
-class Note:
+class Note(NamedTuple):
     """A non-failure remark: a skipped or not-applicable check, or an info line."""
 
     rule: str
@@ -117,13 +118,10 @@ class ValidationReport:
         return {
             "valid": self.valid,
             "violations": [
-                {"rule": v.rule, "witness": list(v.witness), "message": v.message}
-                for v in self.violations
+                {"rule": r, "witness": list(w), "message": m}
+                for r, w, m in self.violations
             ],
-            "notes": [
-                {"rule": n.rule, "status": n.status, "message": n.message}
-                for n in self.notes
-            ],
+            "notes": [n._asdict() for n in self.notes],
         }
 
 
@@ -135,18 +133,19 @@ class ReportBuilder:
         self._notes: list[Note] = []
 
     def violation(self, rule: str, witness, message: str) -> None:
-        self._violations.append(
-            Violation(rule, tuple(str(w) for w in witness), message)
-        )
+        self._violations.append(Violation(rule, tuple(map(str, witness)), message))
 
     def note(self, rule: str, status: str, message: str) -> None:
         self._notes.append(Note(rule, status, message))
 
     def absorb(self, report: ValidationReport, prefix: str = "") -> None:
-        for v in report.violations:
-            self._violations.append(Violation(prefix + v.rule, v.witness, v.message))
-        for n in report.notes:
-            self._notes.append(Note(prefix + n.rule, n.status, n.message))
+        """Add a report's own immutable entries, or copies renamed under ``prefix``."""
+        violations, notes = report.violations, report.notes
+        if prefix:  # a renamed rule is one shared string, not one per violation
+            violations = [Violation(intern(prefix + r), w, m) for r, w, m in violations]
+            notes = [Note(prefix + r, s, m) for r, s, m in notes]
+        self._violations += violations
+        self._notes += notes
 
     def build(self) -> ValidationReport:
         return ValidationReport(

@@ -22,6 +22,7 @@ from groupoids import (
     symmetric_group,
     validate_groupoid,
 )
+from groupoids.cli import run_command
 
 MINIMAL = """\
 kind: groupoid
@@ -218,3 +219,46 @@ def test_every_corpus_structure_reads_back_as_itself(corpus, s3_control, klein_c
     for gg in [*corpus.values(), s3_control, klein_control]:
         for value in (gg, gg.base, gg.arrow_group, gg.object_group):
             assert parse_structure_file(emit_structure_file(value)).structure == value
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["", "p.gpd # copy", "p#.gpd", "a\nb.gpd", "a\r\nb.gpd", "a\u2028b.gpd", " p.gpd",
+     "p.gpd ", "p.gpd\n"],
+)
+def test_emit_refuses_a_path_that_would_not_read_back(path):
+    g = null_groupoid(["u"])
+    m = Morphism(g, g, {"u": "u"}, {"u": "u"})
+    for structure, paths in (
+        (m, dict(from_path=path, to_path="g.gpd")),
+        (m, dict(from_path="g.gpd", to_path=path)),
+        (MorphismSpec(path, "g.gpd", {"u": "u"}, {"u": "u"}), {}),
+        (MorphismSpec("g.gpd", path, {"u": "u"}, {"u": "u"}), {}),
+    ):
+        with pytest.raises(InvalidInput, match="cannot be written to a morphism file"):
+            emit_structure_file(structure, **paths)
+
+
+def test_a_path_with_an_inner_space_reads_back(tmp_path):
+    g = pair_groupoid(["a", "b"])
+    (tmp_path / "my g.gpd").write_text(emit_structure_file(g), encoding="utf-8")
+    m = Morphism(g, g, {x: x for x in g.arrows}, {u: u for u in g.objects})
+    text = emit_structure_file(m, from_path="my g.gpd", to_path="my g.gpd")
+    spec = parse_structure_file(text).structure
+    assert (spec.from_path, spec.to_path) == ("my g.gpd", "my g.gpd")
+    assert emit_structure_file(spec) == text
+    (tmp_path / "m.gpd").write_text(text, encoding="utf-8")
+    loaded, src_sf, _ = load_morphism(str(tmp_path / "m.gpd"))
+    assert loaded.f == m.f and src_sf.structure == g
+
+
+def test_an_empty_path_is_a_syntax_error_at_its_line(tmp_path, capsys):
+    text = "kind: morphism\nfrom:\nto: g.gpd\nf: u=u\nf0: u=u\n"
+    assert line_of(StructureSyntaxError, text) == 2
+    assert line_of(StructureSyntaxError, "kind: morphism\nfrom: g.gpd\nto:  # none\n") == 3
+    path = tmp_path / "m.gpd"
+    path.write_text(text, encoding="utf-8")
+    assert run_command(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: section 'from' needs a path" in err
+    assert "Is a directory" not in err

@@ -209,6 +209,13 @@ def outside_carrier(draw) -> tuple[GroupGroupoid, str, tuple[str, str]]:
     return GroupGroupoid(gg.base, gg.arrow_group, fresh), which, key
 
 
+def assert_in_report_order(report) -> None:
+    """Violations sorted by (rule, witness, message), with the key spelled out
+    so the order does not rest on the entry class's own comparison."""
+    by_fields = sorted(report.violations, key=lambda v: (v.rule, v.witness, v.message))
+    assert report.violations == tuple(by_fields)
+
+
 def names(report, key) -> bool:
     return any(set(key) <= set(v.witness) for v in report.violations)
 
@@ -276,9 +283,10 @@ def test_constructed_structures_satisfy_everything(case):
 def test_definitions_agree_on_arbitrary_mutations(gg):
     # mode "both" raises InternalCheckFailed on any verdict disagreement
     try:
-        check_group_groupoid(gg, mode="both")
+        report = check_group_groupoid(gg, mode="both")
     except InternalCheckFailed as exc:  # pragma: no cover - the property itself
         raise AssertionError(f"definitions disagreed: {exc}") from exc
+    assert_in_report_order(report)
 
 
 @given(mutated())
@@ -290,6 +298,7 @@ def test_identity_checks_report_and_never_raise(gg):
         reconstruct_from_group(gg),
     ):
         assert isinstance(report, ValidationReport)
+        assert_in_report_order(report)
 
 
 def _certified_reports(gg: GroupGroupoid) -> list:
