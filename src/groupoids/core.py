@@ -62,9 +62,10 @@ class FiniteGroupoid:
     inv: Mapping[str, str]
     prod: Mapping[tuple[str, str], str]
 
-    # set by `fibers`; not functools.cached_property: a write through the
+    # set by `fibers` and _product_rows; not functools.cached_property: a write through the
     # instance __dict__ slows every later attribute read on CPython 3.11 by about a third
     _fibers = None
+    _view = None
 
     def __post_init__(self) -> None:
         check_wellformed(self)
@@ -94,6 +95,21 @@ class FiniteGroupoid:
         for x in sorted(self.arrows):
             for y in fibers.get(("source", self.tgt[x]), ()):
                 yield (x, y)
+
+
+def _product_rows(g: FiniteGroupoid) -> tuple[list[str], dict[str, int], list[list[int]]]:
+    """The groupoid's integer view, built once: the sorted arrows, their
+    numbers, and rows[i][j], the number of arrows[i].arrows[j] or -1 where
+    no product is stored.  A -1 pad ends each row, so row[-1] reads -1 and a
+    product with a missing factor reads -1 too: A*(A+1) slots for A arrows."""
+    if g._view is None:
+        arrows = sorted(g.arrows)
+        number = {x: i for i, x in enumerate(arrows)}
+        rows = [[-1] * (len(arrows) + 1) for _ in arrows]
+        for (x, y), xy in g.prod.items():
+            rows[number[x]][number[y]] = number[xy]
+        object.__setattr__(g, "_view", (arrows, number, rows))
+    return g._view
 
 
 def check_wellformed(g: FiniteGroupoid) -> None:
@@ -214,12 +230,12 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
 
     Covers: the product is stored on exactly the composable pairs; source and
     target of a product come from its factors; associativity, by the loop
-    that validate_group runs (grouptable._associativity); unit laws;
-    inverse laws; surjectivity of source and target; injectivity of the unit
-    map.  Theorem: an object u that no arrow has as source (or target) also
-    fails unit-endpoints at (u, unit(u)), since the unit axiom asks for the
-    arrow unit(u): u -> u.  So a surjectivity violation never decides a
-    verdict alone.
+    that validate_group runs (grouptable._associativity) on the integer view
+    (_product_rows); unit laws; inverse laws; surjectivity of source and
+    target; injectivity of the unit map.  Theorem: an object u that no arrow
+    has as source (or target) also fails unit-endpoints at (u, unit(u)),
+    since the unit axiom asks for the arrow unit(u): u -> u.  So a
+    surjectivity violation never decides a verdict alone.
     """
     rb = ReportBuilder()
     arrows = sorted(g.arrows)
@@ -236,70 +252,41 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     for x, y in defined:
         z = g.prod[(x, y)]
         if g.src[z] != g.src[x]:
-            rb.violation(
-                "G1-source", (x, y), f"source of product is {g.src[z]}, expected {g.src[x]}"
-            )
+            rb.violation("G1-source", (x, y),
+                         f"source of product is {g.src[z]}, expected {g.src[x]}")
         if g.tgt[z] != g.tgt[y]:
-            rb.violation(
-                "G1-target", (x, y), f"target of product is {g.tgt[z]}, expected {g.tgt[y]}"
-            )
+            rb.violation("G1-target", (x, y),
+                         f"target of product is {g.tgt[z]}, expected {g.tgt[y]}")
 
     # a missing product is explained by domain / endpoint violations already
-    _associativity(rb, "G1-assoc", g.prod, defined,
-                   lambda y: g.fibers.get(("source", g.tgt[y]), ()))
+    names, number, rows = _product_rows(g)
+    starts = {u: [number[z] for z in zs] for (side, u), zs in g.fibers.items() if side == "source"}
+    _associativity(rb, "G1-assoc", names, rows, [(number[x], number[y]) for x, y in defined],
+                   [starts.get(g.tgt[y], []) for y in names].__getitem__)
 
     unit_owner: dict[str, str] = {}
     for u in objects:
         e = g.unit[u]
         if g.src[e] != u or g.tgt[e] != u:
-            rb.violation(
-                "unit-endpoints",
-                (u, e),
-                f"unit arrow has endpoints ({g.src[e]},{g.tgt[e]}), expected ({u},{u})",
-            )
+            rb.violation("unit-endpoints", (u, e),
+                         f"unit arrow has endpoints ({g.src[e]},{g.tgt[e]}), expected ({u},{u})")
         if e in unit_owner:
-            rb.violation(
-                "unit-injective", (unit_owner[e], u, e), "two objects share a unit arrow"
-            )
+            rb.violation("unit-injective", (unit_owner[e], u, e), "two objects share a unit arrow")
         else:
             unit_owner[e] = u
 
     for x in arrows:
-        e = g.unit[g.src[x]]
-        got = g.prod.get((e, x))
-        if got != x:
-            rb.violation(
-                "G2-left-unit",
-                (x,),
-                f"unit({g.src[x]}).{x} = {got if got is not None else 'undefined'}",
-            )
-        e = g.unit[g.tgt[x]]
-        got = g.prod.get((x, e))
-        if got != x:
-            rb.violation(
-                "G2-right-unit",
-                (x,),
-                f"{x}.unit({g.tgt[x]}) = {got if got is not None else 'undefined'}",
-            )
-
-    for x in arrows:
-        xi = g.inv[x]
-        got = g.prod.get((xi, x))
-        want = g.unit[g.tgt[x]]
-        if got != want:
-            rb.violation(
-                "G3-left-inverse",
-                (x,),
-                f"inv({x}).{x} = {got if got is not None else 'undefined'}, expected {want}",
-            )
-        got = g.prod.get((x, xi))
-        want = g.unit[g.src[x]]
-        if got != want:
-            rb.violation(
-                "G3-right-inverse",
-                (x,),
-                f"{x}.inv({x}) = {got if got is not None else 'undefined'}, expected {want}",
-            )
+        u, v, xi = g.src[x], g.tgt[x], g.inv[x]
+        for rule, pair, want, text in (
+            ("G2-left-unit", (g.unit[u], x), x, "unit({u}).{x} = {got}"),
+            ("G2-right-unit", (x, g.unit[v]), x, "{x}.unit({v}) = {got}"),
+            ("G3-left-inverse", (xi, x), g.unit[v], "inv({x}).{x} = {got}, expected {want}"),
+            ("G3-right-inverse", (x, xi), g.unit[u], "{x}.inv({x}) = {got}, expected {want}"),
+        ):
+            got = g.prod.get(pair)
+            if got != want:
+                got = "undefined" if got is None else got
+                rb.violation(rule, (x,), text.format(u=u, v=v, x=x, got=got, want=want))
 
     for rule, mapping in (("source-surjective", g.src), ("target-surjective", g.tgt)):
         for u in sorted(g.objects - set(mapping.values())):

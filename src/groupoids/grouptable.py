@@ -1,18 +1,19 @@
 """Finite groups as explicit Cayley tables, checked exactly.
 
-Elements are opaque string tokens.  Every law is decided by brute
-enumeration, which is the point of the package; the one shortcut, Light's
-associativity test, may only accept, and any failure of it runs the full
-enumeration, so reports are the same either way.  Isomorphism is decided
-from the images of a generating set, which fix a homomorphism.
+Elements are opaque string tokens.  Every law is decided by enumeration
+over the table's integer view (_rows), a row at a time in C; the one
+shortcut, Light's associativity test, may only accept, and any failure of
+it runs the full enumeration, so reports are the same either way.
+Isomorphism is decided from the images of a generating set.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from itertools import permutations, product as cartesian
-from typing import Callable, Iterable, Mapping
+from itertools import compress, count, permutations, product as cartesian
+from operator import eq, ne
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .report import (
     DomainMismatch,
@@ -97,6 +98,8 @@ class GroupTable:
     identity: str
     inverse: Mapping[str, str]
 
+    _view = None  # set by _rows; a class attribute, not a field, as FiniteGroupoid._fibers
+
     def __post_init__(self) -> None:
         check_table_wellformed(self)
 
@@ -162,24 +165,37 @@ def closure_gate(rb: ReportBuilder, rule: str, tables: Mapping[str, GroupTable])
     return closed
 
 
+def _rows(table: GroupTable) -> tuple[list[str], dict[str, int], list[list]]:
+    """The table's integer view, built once: the sorted elements, their
+    numbers, and rows[i][j], the number of elements[i]+elements[j] or None
+    for a product outside the elements."""
+    if table._view is None:
+        elems = sorted(table.elements)
+        number = {x: i for i, x in enumerate(elems)}
+        rows = [[number.get(table.op[(x, y)]) for y in elems] for x in elems]
+        object.__setattr__(table, "_view", (elems, number, rows))
+    return table._view
+
+
+def _mismatches(lhs: Iterable, rhs: Iterable) -> Iterator[int]:
+    """The positions where two equally long rows differ."""
+    return compress(count(), map(ne, lhs, rhs))
+
+
 def additivity_report(
     rule: str, name: str, h: Mapping[str, str], dom: GroupTable, cod: GroupTable
 ) -> ValidationReport:
-    """One violation of rule per pair with h(x+y) != h(x)+h(y); dom must be closed."""
+    """One violation of rule per pair with h(x+y) != h(x)+h(y); dom must be
+    closed.  Per x, a row of h(x+y) against h(x)+h(y) on the integer views."""
+    (elems, _, rows), (_, number, cod_rows) = _rows(dom), _rows(cod)
+    image = [number[h[x]] for x in elems]
     rb = ReportBuilder()
-    for (x, y), s in dom.op.items():
-        lhs, rhs = h[s], cod.op[(h[x], h[y])]
-        if lhs != rhs:
-            msg = f"{name}({x}+{y}) = {lhs} but {name}({x})+{name}({y}) = {rhs}"
+    for x, row, hx in zip(elems, rows, image):
+        for j in _mismatches(map(image.__getitem__, row), map(cod_rows[hx].__getitem__, image)):
+            y, s = elems[j], elems[row[j]]
+            msg = f"{name}({x}+{y}) = {h[s]} but {name}({x})+{name}({y}) = {cod.op[(h[x], h[y])]}"
             rb.violation(rule, (x, y), msg)
     return rb.build()
-
-
-def _rows(table: GroupTable) -> tuple[list[str], list[list[int]]]:
-    """Sorted elements and index rows of a closed table: rows[i][j] indexes elems[i]+elems[j]."""
-    elems = sorted(table.elements)
-    index = {x: i for i, x in enumerate(elems)}
-    return elems, [[index[table.op[(x, y)]] for y in elems] for x in elems]
 
 
 def _generators(rows: list[list[int]]) -> list[int] | None:
@@ -224,27 +240,39 @@ def _associativity_certificate(table: GroupTable) -> bool:
     returns False, which proves nothing: the caller then enumerates every
     triple.  Costs m^2 |S| lookups.  The table must be closed.
     """
-    _, rows = _rows(table)
+    rows = _rows(table)[2]
     generators = _generators(rows)
-    # the row of x+s against x+(s+y), over every y at once
     return generators is not None and all(
-        rows[row[s]] == list(map(row.__getitem__, rows[s])) for s in generators for row in rows
+        eq(*_regrouped(rows, x, s)) for s in generators for x in range(len(rows))
     )
 
 
-def _associativity(
-    rb: ReportBuilder, rule: str, prod: Mapping, pairs: Iterable, after: Callable
-) -> None:
+def _regrouped(rows: list[list], x: int, y: int, zs: list | None = None) -> tuple[list, list]:
+    """(x.y).z and x.(y.z) for the z in zs, or for every z (whole rows), as two
+    lists read in C: they are equal iff x, y associate with each such z."""
+    if zs is None:
+        return rows[rows[x][y]], list(map(rows[x].__getitem__, rows[y]))
+    return (list(map(rows[rows[x][y]].__getitem__, zs)),
+            list(map(rows[x].__getitem__, map(rows[y].__getitem__, zs))))
+
+
+def _associativity(rb: ReportBuilder, rule: str, names: list[str], rows: list[list],
+                   pairs: Iterable, after: Callable[[int], list] | None = None) -> None:
     """Report (x.y).z != x.(y.z) under rule for every (x, y) in pairs, whose
-    product is stored, and every z in after(y), skipping a triple with a
-    missing product.  The one associativity loop: a group is its one-object
-    groupoid, so validate_group and validate_groupoid both run it."""
+    product is stored, and every z in after(y) (every z if after is None),
+    skipping a missing product (-1): the one associativity loop, run by
+    validate_group and validate_groupoid on their integer views.  Per pair
+    both sides are lists read in C (_regrouped), and only their differing
+    positions reach Python, which is no shortcut: equal lists hold no violation."""
     for x, y in pairs:
-        xy = prod[(x, y)]
-        for z in after(y):
-            left, right = prod.get((xy, z)), prod.get((x, prod.get((y, z))))
-            if left != right and left is not None and right is not None:
-                rb.violation(rule, (x, y, z), f"({x}.{y}).{z} = {left} but {x}.({y}.{z}) = {right}")
+        zs = None if after is None else after(y)
+        left, right = _regrouped(rows, x, y, zs)
+        if left != right:
+            for j in _mismatches(left, right):
+                if left[j] != -1 and right[j] != -1:
+                    x_, y_, z_ = names[x], names[y], names[j if zs is None else zs[j]]
+                    rb.violation(rule, (x_, y_, z_), f"({x_}.{y_}).{z_} = {names[left[j]]} "
+                                 f"but {x_}.({y_}.{z_}) = {names[right[j]]}")
 
 
 def validate_group(table: GroupTable) -> ValidationReport:
@@ -252,16 +280,17 @@ def validate_group(table: GroupTable) -> ValidationReport:
 
     A product outside the element set is reported as closure, and
     associativity, which would compose it further, is then skipped.
-    Associativity is enumerated over all triples, by the loop that
-    validate_groupoid runs for G1-assoc (_associativity), unless Light's
-    test (_associativity_certificate) proves it first.
+    Associativity is enumerated on the integer view, m^2 rows compared in C,
+    by the loop that validate_groupoid runs for G1-assoc (_associativity),
+    unless Light's test (_associativity_certificate) proves it first.
     """
     rb = ReportBuilder()
-    elems = sorted(table.elements)
+    elems, _, rows = _rows(table)
     op = table.op
     e = table.identity
     if closure_gate(rb, "associativity", {"": table}) and not _associativity_certificate(table):
-        _associativity(rb, "associativity", op, cartesian(elems, elems), lambda y: elems)
+        every = range(len(elems))
+        _associativity(rb, "associativity", elems, rows, cartesian(every, every))
     for x in elems:
         if op[(e, x)] != x:
             rb.violation("left-identity", (x,), f"{e}.{x} = {op[(e, x)]}")
@@ -328,7 +357,7 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
     order_b = {y: element_order(b, y) for y in b.elements}
     if sorted(order_a.values()) != sorted(order_b.values()):
         return None
-    (elems_a, rows_a), (elems_b, rows_b) = _rows(a), _rows(b)
+    (elems_a, _, rows_a), (elems_b, _, rows_b) = _rows(a), _rows(b)
     generators = _generators(rows_a) or []  # [] if a is not a group: phi stays short
     choices = [[j for j, y in enumerate(elems_b) if order_b[y] == order_a[elems_a[g]]]
                for g in generators]

@@ -16,10 +16,10 @@ The compatibility between the two layers can be decided two independent ways:
 
 A certificate may only accept; when it refuses, the enumeration runs
 unchanged, so reports are the same either way.  The two P^2 enumerations
-read one integer view of the arrows (_numbered) a row of C-level lookups at
-a time, in one shape: per composable pair (x, y), a row of (x+z).(y+t)
-against (x.y)+(z.t).  def32 walks the stored pairs, def31 all of them; the
-loops are separate, so def31 stays independent of def32.
+read one integer view of the structure (_numbered), built once, a row of
+C-level lookups at a time, in one shape: per composable pair (x, y), a row
+of (x+z).(y+t) against (x.y)+(z.t).  def32 walks the stored pairs, def31
+all of them; the loops are separate, so def31 stays independent of def32.
 
 The two procedures provably agree on every input, including broken ones, and
 mode ``both`` runs them side by side and treats disagreement as a fatal bug.
@@ -29,20 +29,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, count
-from operator import add as plus, ne
-from typing import Iterable, Iterator
+from operator import getitem
+from typing import Iterator
 
 from .core import (
     FiniteGroupoid,
     Morphism,
     _loops,
     _null,
+    _product_rows,
     validate_groupoid,
     validate_morphism,
 )
 from .grouptable import (
     GroupTable,
+    _mismatches,
     _rows,
     additivity_report,
     closure_gate,
@@ -91,6 +92,8 @@ class GroupGroupoid:
     arrow_group: GroupTable
     object_group: GroupTable
 
+    _view = None  # set by _numbered, as GroupTable._view by grouptable._rows
+
     def __post_init__(self) -> None:
         if self.arrow_group.elements != self.base.arrows:
             raise MalformedStructure("arrow group must be defined on exactly the arrow set")
@@ -108,31 +111,34 @@ def structural_report(gg: GroupGroupoid) -> ValidationReport:
 
 
 def _numbered(gg: GroupGroupoid) -> tuple[list, dict, list, list, list]:
-    """The integer view that def31 and def32 enumerate over; the arrow group
-    must be closed.
-
-    Returns (arrows, number, add, prod, pairs): arrows sorted, so that
-    arrows[i] has the number i = number[arrows[i]]; add[i][j] numbers
-    arrows[i] + arrows[j]; prod[i*A + j] numbers arrows[i].arrows[j], or is
-    None where G stores no product; pairs holds every composable pair as
-    (x, y, x.y or None), sorted, so that violations reach the report in
-    sorted runs, which ``ReportBuilder.build`` merges in C; a nested report
-    joins them as one more sorted run.
-    """
-    arrows, add = _rows(gg.arrow_group)
-    number = {x: i for i, x in enumerate(arrows)}
-    n = len(arrows)
-    prod: list[int | None] = [None] * (n * n)
-    for (x, y), xy in gg.base.prod.items():
-        prod[number[x] * n + number[y]] = number[xy]
-    numbered = ((number[x], number[y]) for x, y in gg.base.composable_pairs())
-    pairs = [(x, y, prod[x * n + y]) for x, y in numbered]
-    return arrows, number, add, prod, pairs
+    """The integer view that def31 and def32 enumerate over, built once; the
+    arrow group must be closed.  Returns (arrows, number, add, prod, pairs):
+    the arrow table's view (grouptable._rows), the rows of the base's view
+    (core._product_rows) on the same numbers, and every composable pair as
+    (x, y, x.y or -1), sorted, so that violations reach the report in
+    sorted runs, which ``ReportBuilder.build`` merges."""
+    if gg._view is None:
+        arrows, number, add = _rows(gg.arrow_group)
+        prod = _product_rows(gg.base)[2]
+        numbered = ((number[x], number[y]) for x, y in gg.base.composable_pairs())
+        pairs = [(x, y, prod[x][y]) for x, y in numbered]
+        object.__setattr__(gg, "_view", (arrows, number, add, prod, pairs))
+    return gg._view
 
 
-def _mismatches(lhs: Iterable, rhs: Iterable) -> Iterator[int]:
-    """The positions where two equally long rows differ."""
-    return compress(count(), map(ne, lhs, rhs))
+def _interchange_rows(add: list, prod: list, pairs: list, table: list) -> Iterator[tuple]:
+    """(x, y, row of (x+z).(y+t), row of table[x.y][z.t]) over every (z, t,
+    z.t) in pairs, for each (x, y, x.y) in pairs where the two rows differ.
+    Each row is one C-level step over rows built per arrow w: prod's row at
+    w+z, w+t and table[w][z.t], in O(A*P) memory for A arrows, P pairs."""
+    zs, ts, zts = ([pair[i] for pair in pairs] for i in range(3))
+    through = [list(map(prod.__getitem__, map(row.__getitem__, zs))) for row in add]
+    plus_t = [list(map(row.__getitem__, ts)) for row in add]
+    wanted = [list(map(row.__getitem__, zts)) for row in table]
+    for x, y, xy in pairs:
+        row = list(map(getitem, through[x], plus_t[y]))
+        if row != wanted[xy]:
+            yield x, y, row, wanted[xy]
 
 
 def check_interchange(gg: GroupGroupoid) -> ValidationReport:
@@ -141,36 +147,23 @@ def check_interchange(gg: GroupGroupoid) -> ValidationReport:
 
     On the integer view: for each stored composable pair (x, y), one row of
     C-level lookups gives (x+z).(y+t) and (x.y)+(z.t) for every stored
-    composable (z, t), and only the positions where they differ (or the
-    former is not stored) come back to Python.  Costs P^2 row steps for P
-    stored composable pairs, in O(A^2 + P) extra memory.
+    composable (z, t) (_interchange_rows), and only the positions where they
+    differ (or the former is not stored) come back to Python.  Costs P^2
+    row steps for P stored composable pairs; the arrow group must be closed.
     """
     arrows, _, add, prod, pairs = _numbered(gg)
-    n = len(arrows)
-    pairs = [pair for pair in pairs if pair[2] is not None]
-    zs = [z for z, _, _ in pairs]
-    ts = [t for _, t, _ in pairs]
-    zts = [zt for _, _, zt in pairs]
-    shifted = [[s * n for s in row] for row in add]  # row index of x+z in prod
+    pairs = [pair for pair in pairs if pair[2] != -1]
     rb = ReportBuilder()
-    for x, y, xy in pairs:
-        combined = list(map(prod.__getitem__, map(
-            plus, map(shifted[x].__getitem__, zs), map(add[y].__getitem__, ts)
-        )))
-        lhs = add[xy]
-        for j in _mismatches(combined, map(lhs.__getitem__, zts)):
-            z, t = zs[j], ts[j]
+    for x, y, combined, lhs in _interchange_rows(add, prod, pairs, add):
+        for j in _mismatches(combined, lhs):
+            z, t, _ = pairs[j]
             witness = (arrows[x], arrows[y], arrows[z], arrows[t])
-            if combined[j] is None:
+            if combined[j] == -1:
                 xz, yt = arrows[add[x][z]], arrows[add[y][t]]
                 rb.violation("interchange", witness, f"({xz},{yt}) is not composable")
             else:
-                rb.violation(
-                    "interchange",
-                    witness,
-                    f"(x.y)+(z.t) = {arrows[lhs[zts[j]]]} "
-                    f"but (x+z).(y+t) = {arrows[combined[j]]}",
-                )
+                rb.violation("interchange", witness, f"(x.y)+(z.t) = {arrows[lhs[j]]} "
+                             f"but (x+z).(y+t) = {arrows[combined[j]]}")
     return rb.build()
 
 
@@ -308,16 +301,14 @@ def _addition_report(gg: GroupGroupoid) -> ValidationReport:
     witnesses and messages.  Each row is C-level work over the integer view,
     and only mismatching positions come back to Python.  M2 walks the pairs
     as check_interchange does, one row of (x+z).(y+t) against (x.y)+(z.t)
-    per (x, y); an unstored x.y or z.t reads a -1 pad that no image equals,
-    so an unstored composable pair always comes back, since its image may be
-    missing.  Costs P_c^2 row steps for P_c composable pairs plus
-    2*A^2 + O^2 checks, in O(A^2 + P_c) extra memory; G x G is never built.
+    per (x, y) (_interchange_rows); an unstored x.y or z.t reads a None pad
+    that no image equals, so an unstored composable pair always comes back,
+    since its image may be missing (-1).  Costs P_c^2 row steps for P_c
+    composable pairs plus 2*A^2 + O^2 checks, in O(A*P_c) extra memory.
     """
     g = gg.base
     arrows, number, add, prod, pairs = _numbered(gg)
-    objects, add0 = _rows(gg.object_group)
-    n = len(arrows)
-    place = {u: i for i, u in enumerate(objects)}
+    objects, place, add0 = _rows(gg.object_group)
     src = [place[g.src[x]] for x in arrows]
     tgt = [place[g.tgt[x]] for x in arrows]
     inv = [number[g.inv[x]] for x in arrows]
@@ -356,23 +347,16 @@ def _addition_report(gg: GroupGroupoid) -> ValidationReport:
             )
 
     # M2: (x|z).(y|t) has the image (x+z).(y+t), and the product
-    # (x.y|z.t) the image (x.y)+(z.t), or the pad where it is not stored
-    zs = [z for z, _, _ in pairs]
-    ts = [t for _, t, _ in pairs]
-    zts = [n if zt is None else zt for _, _, zt in pairs]
-    padded = [[*row, -1] for row in add] + [[-1] * (n + 1)]
-    shifted = [[s * n for s in row] for row in add]  # row index of x+z in prod
-    for x, y, xy in pairs:
-        images = list(map(prod.__getitem__, map(
-            plus, map(shifted[x].__getitem__, zs), map(add[y].__getitem__, ts)
-        )))
-        lhs = padded[n if xy is None else xy]
-        for j in _mismatches(images, map(lhs.__getitem__, zts)):
-            z, t, image, want = zs[j], ts[j], images[j], lhs[zts[j]]
+    # (x.y|z.t) the image (x.y)+(z.t), or the pad where it is not stored:
+    # an unstored x.y or z.t is -1, which reads the pad row or column
+    padded = [[*row, None] for row in add] + [[None] * (len(add) + 1)]
+    for x, y, images, lhs in _interchange_rows(add, prod, pairs, padded):
+        for j in _mismatches(images, lhs):
+            (z, t, _), image, want = pairs[j], images[j], lhs[j]
             a, c = token(arrows[x], arrows[z]), token(arrows[y], arrows[t])
-            if image is None:
+            if image == -1:
                 message = f"images ({arrows[add[x][z]]},{arrows[add[y][t]]}) are not composable"
-            elif want != -1:
+            elif want is not None:
                 message = f"f({a}.{c}) = {arrows[want]} but f({a}).f({c}) = {arrows[image]}"
             else:
                 continue

@@ -120,6 +120,13 @@ def test_validate_catches_clobbered_product():
     assert "G1-target" in report.rules()
 
 
+def test_validate_names_a_unit_that_is_not_neutral_on_the_left():
+    g = group_as_single_unit_groupoid(cyclic_group(3))
+    report = validate_groupoid(rebuild(g, prod={**g.prod, ("0", "1"): "2"}))
+    first = report.by_rule("G2-left-unit")[0]
+    assert (first.witness, first.message) == (("1",), "unit(0).1 = 2")
+
+
 def test_validate_catches_missing_product_entry():
     g = pair_groupoid(["a", "b"])
     prod = dict(g.prod)

@@ -2,6 +2,9 @@ from dataclasses import replace
 
 import pytest
 
+import groupoids.core as core
+import groupoids.grouptable as grouptable
+import groupoids.overlay as overlay
 from groupoids import (
     GroupGroupoid,
     FiniteGroupoid,
@@ -84,6 +87,23 @@ def test_verdicts_agree_on_a_broken_table():
     assert not report.valid
     verdicts = {n.rule: n.message for n in report.notes if n.status == "info"}
     assert verdicts == {"def31": "verdict fail", "def32": "verdict fail"}
+
+
+def test_def31_and_def32_read_one_integer_view(monkeypatch):
+    # mode both builds the numbered view once, on the views of the arrow
+    # table and of the base, which the structural report built first
+    gg = mutate_base(single_unit_group_groupoid(cyclic_group(4)), "prod", ("1", "1"), "3")
+    views = []
+    numbered = overlay._numbered
+    monkeypatch.setattr(overlay, "_numbered", lambda gg: views.append(numbered(gg)) or views[-1])
+    assert not check_group_groupoid(gg, mode="both").valid
+    assert len(views) == 2 and views[0] is views[1]
+    arrows, number, add, prod, _ = views[0]
+    assert all(a is b for a, b in zip((arrows, number, add), grouptable._rows(gg.arrow_group)))
+    assert prod is core._product_rows(gg.base)[2]
+    # the views are no fields: equality and repr are those of a fresh structure
+    fresh = GroupGroupoid(gg.base, gg.arrow_group, gg.object_group)
+    assert fresh == gg and repr(fresh) == repr(gg) and "_view" not in repr(gg)
 
 
 def test_structural_report_prefixes():

@@ -168,6 +168,30 @@ def mutated(draw) -> GroupGroupoid:
     return GroupGroupoid(base, arrow_group, object_group)
 
 
+def _rewirable(gg: GroupGroupoid) -> list:
+    """(x, y, w) for each stored x.y and arrow w != x.y with its source and target."""
+    g = gg.base
+    return [
+        (x, y, w)
+        for (x, y), xy in sorted(g.prod.items())
+        for w in sorted(g.arrows)
+        if w != xy and (g.src[w], g.tgt[w]) == (g.src[xy], g.tgt[xy])
+    ]
+
+
+@st.composite
+def rewired(draw) -> GroupGroupoid:
+    """One stored product x.y of a valid structure rewritten to another arrow
+    with the same source and target: G1-source and G1-target stay clean, so
+    only associativity and the layers above can see it."""
+    gg = draw(st.sampled_from([gg for gg in CORPUS + CONTROLS if _rewirable(gg)]))
+    x, y, w = draw(st.sampled_from(_rewirable(gg)))
+    g = gg.base
+    prod = {**g.prod, (x, y): w}
+    base = FiniteGroupoid(g.objects, g.arrows, g.src, g.tgt, g.unit, g.inv, prod)
+    return GroupGroupoid(base, gg.arrow_group, gg.object_group)
+
+
 @st.composite
 def scrambled(draw) -> GroupGroupoid:
     """A valid structure whose arrow table, object table or both are renamed by
@@ -307,7 +331,7 @@ def _certified_reports(gg: GroupGroupoid) -> list:
     return [report.to_dict() for report in reports]
 
 
-@given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated(), scrambled()))
+@given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated(), scrambled(), rewired()))
 @settings(max_examples=160, deadline=None)
 def test_certificates_only_accept(gg):
     # with every certificate refusing, every law is enumerated in full
@@ -344,6 +368,22 @@ def _interchange_by_four_loops(gg: GroupGroupoid) -> ValidationReport:
                     f"(x.y)+(z.t) = {lhs} but (x+z).(y+t) = {combined}",
                 )
     return rb.build()
+
+
+def _associativity_by_three_loops(prod, elements, composable) -> list:
+    """(x.y).z against x.(y.z) by three nested loops over a token table, for
+    the composable triples, skipping a missing product: the reference that
+    the associativity loop of validate_group and validate_groupoid must
+    reproduce, as (witness, message) in report order."""
+    out = []
+    for x in elements:
+        for y in (y for y in elements if composable(x, y)):
+            for z in (z for z in elements if composable(y, z)):
+                left = prod.get((prod.get((x, y)), z))
+                right = prod.get((x, prod.get((y, z))))
+                if left is not None and right is not None and left != right:
+                    out.append(((x, y, z), f"({x}.{y}).{z} = {left} but {x}.({y}.{z}) = {right}"))
+    return sorted(out)
 
 
 def _addition_on_the_doubled_groupoid(gg: GroupGroupoid) -> ValidationReport:
@@ -399,10 +439,38 @@ def test_enumerations_match_their_references_on_unstored_composable_pairs(gg):
     assert any(v.message.endswith("are not composable") for v in report.violations)
 
 
-@given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated(), scrambled()))
+@given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated(), scrambled(), rewired()))
 @settings(max_examples=80, deadline=None)
 def test_enumerations_match_their_references(gg):
     _assert_enumerations_match_their_references(gg)
+
+
+@given(rewired())
+@settings(max_examples=40, deadline=None)
+def test_rewired_products_keep_their_endpoints(gg):
+    report = validate_groupoid(gg.base)
+    assert not report.valid
+    assert not report.by_rule("G1-source") and not report.by_rule("G1-target")
+
+
+@given(st.one_of(st.sampled_from(CORPUS + CONTROLS + tuple(UNSTORED_COMPOSABLE)), mutated(),
+                 scrambled(), rewired()))
+@settings(max_examples=120, deadline=None)
+def test_associativity_matches_its_reference(gg):
+    g = gg.base
+    found = [(v.witness, v.message) for v in validate_groupoid(g).by_rule("G1-assoc")]
+    assert found == _associativity_by_three_loops(
+        g.prod, sorted(g.arrows), lambda x, y: g.tgt[x] == g.src[y]
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        # Light's test off, so that the loop runs on associative tables too
+        mp.setattr(grouptable, "_associativity_certificate", lambda table: False)
+        for table in (gg.arrow_group, gg.object_group):
+            report = validate_group(table)
+            found = [(v.witness, v.message) for v in report.by_rule("associativity")]
+            assert found == _associativity_by_three_loops(
+                table.op, sorted(table.elements), lambda x, y: True
+            )
 
 
 class _CountingOp(dict):
