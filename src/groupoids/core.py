@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as cartesian
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .grouptable import (
     GroupTable, _associativity, _unchecked, find_isomorphism, is_identifier, pair_token_table,
@@ -62,7 +62,7 @@ class FiniteGroupoid:
     inv: Mapping[str, str]
     prod: Mapping[tuple[str, str], str]
 
-    # set by `fibers` and _product_rows; not functools.cached_property: a write through the
+    # set by `fibers` and _integer_view; not functools.cached_property: a write through the
     # instance __dict__ slows every later attribute read on CPython 3.11 by about a third
     _fibers = None
     _view = None
@@ -97,18 +97,45 @@ class FiniteGroupoid:
                 yield (x, y)
 
 
-def _product_rows(g: FiniteGroupoid) -> tuple[list[str], dict[str, int], list[list[int]]]:
-    """The groupoid's integer view, built once: the sorted arrows, their
-    numbers, and rows[i][j], the number of arrows[i].arrows[j] or -1 where
-    no product is stored.  A -1 pad ends each row, so row[-1] reads -1 and a
-    product with a missing factor reads -1 too: A*(A+1) slots for A arrows."""
+class _IntegerView(NamedTuple):
+    """A groupoid numbered in sorted token order: arrow i is arrows[i] and
+    object u is objects[u]; src, tgt and inv per arrow and unit per object,
+    as numbers; prod[i][j], the number of arrows[i].arrows[j] or -1 where no
+    product is stored, with a -1 pad ending each row, so that a product with
+    a missing factor reads -1 too; starts[u], the arrows with source u; and
+    every composable pair as (x, y, x.y or -1), sorted."""
+
+    arrows: list[str]
+    objects: list[str]
+    src: list[int]
+    tgt: list[int]
+    inv: list[int]
+    unit: list[int]
+    prod: list[list[int]]
+    starts: list[list[int]]
+    pairs: list[tuple[int, int, int]]
+
+
+def _integer_view(g: FiniteGroupoid) -> _IntegerView:
+    """The groupoid's one integer view, built on first use and cached on it:
+    A*(A+1) product slots for A arrows, plus one tuple per composable pair."""
     if g._view is None:
-        arrows = sorted(g.arrows)
+        arrows, objects = sorted(g.arrows), sorted(g.objects)
         number = {x: i for i, x in enumerate(arrows)}
-        rows = [[-1] * (len(arrows) + 1) for _ in arrows]
+        place = {u: i for i, u in enumerate(objects)}
+        src = [place[g.src[x]] for x in arrows]
+        tgt = [place[g.tgt[x]] for x in arrows]
+        prod = [[-1] * (len(arrows) + 1) for _ in arrows]
         for (x, y), xy in g.prod.items():
-            rows[number[x]][number[y]] = number[xy]
-        object.__setattr__(g, "_view", (arrows, number, rows))
+            prod[number[x]][number[y]] = number[xy]
+        starts = [[] for _ in objects]
+        for x, u in enumerate(src):
+            starts[u].append(x)
+        pairs = [(x, y, row[y]) for x, row in enumerate(prod) for y in starts[tgt[x]]]
+        object.__setattr__(g, "_view", _IntegerView(
+            arrows, objects, src, tgt, [number[g.inv[x]] for x in arrows],
+            [number[g.unit[u]] for u in objects], prod, starts, pairs,
+        ))
     return g._view
 
 
@@ -226,71 +253,69 @@ def _product(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
-    """Exhaustive check of the groupoid axioms.
+    """Exhaustive check of the groupoid axioms, on the integer view
+    (_integer_view).
 
     Covers: the product is stored on exactly the composable pairs; source and
     target of a product come from its factors; associativity, by the loop
-    that validate_group runs (grouptable._associativity) on the integer view
-    (_product_rows); unit laws; inverse laws; surjectivity of source and
-    target; injectivity of the unit map.  Theorem: an object u that no arrow
-    has as source (or target) also fails unit-endpoints at (u, unit(u)),
-    since the unit axiom asks for the arrow unit(u): u -> u.  So a
-    surjectivity violation never decides a verdict alone.
+    that validate_group runs (grouptable._associativity); unit laws; inverse
+    laws; surjectivity of source and target; injectivity of the unit map.
+    Theorem: an object u that no arrow has as source (or target) also fails
+    unit-endpoints at (u, unit(u)), since the unit axiom asks for the arrow
+    unit(u): u -> u.  So a surjectivity violation never decides a verdict
+    alone.
     """
     rb = ReportBuilder()
-    arrows = sorted(g.arrows)
-    objects = sorted(g.objects)
-    comp = set(g.composable_pairs())
-    stored = set(g.prod)
+    arrows, objects, src, tgt, inv, unit, prod, starts, pairs = _integer_view(g)
 
-    for pair in sorted(comp - stored):
-        rb.violation("domain-missing", pair, "composable pair has no product entry")
-    for pair in sorted(stored - comp):
-        rb.violation("domain-extra", pair, "product entry on a non-composable pair")
-
-    defined = sorted(comp & stored)
-    for x, y in defined:
-        z = g.prod[(x, y)]
-        if g.src[z] != g.src[x]:
-            rb.violation("G1-source", (x, y),
-                         f"source of product is {g.src[z]}, expected {g.src[x]}")
-        if g.tgt[z] != g.tgt[y]:
-            rb.violation("G1-target", (x, y),
-                         f"target of product is {g.tgt[z]}, expected {g.tgt[y]}")
+    defined = []
+    for x, y, xy in pairs:
+        pair = (arrows[x], arrows[y])
+        if xy == -1:
+            rb.violation("domain-missing", pair, "composable pair has no product entry")
+            continue
+        defined.append((x, y))
+        if src[xy] != src[x]:
+            rb.violation("G1-source", pair,
+                         f"source of product is {objects[src[xy]]}, expected {objects[src[x]]}")
+        if tgt[xy] != tgt[y]:
+            rb.violation("G1-target", pair,
+                         f"target of product is {objects[tgt[xy]]}, expected {objects[tgt[y]]}")
+    if len(defined) != len(g.prod):  # some stored pair is not composable
+        for pair in sorted(p for p in g.prod if g.tgt[p[0]] != g.src[p[1]]):
+            rb.violation("domain-extra", pair, "product entry on a non-composable pair")
 
     # a missing product is explained by domain / endpoint violations already
-    names, number, rows = _product_rows(g)
-    starts = {u: [number[z] for z in zs] for (side, u), zs in g.fibers.items() if side == "source"}
-    _associativity(rb, "G1-assoc", names, rows, [(number[x], number[y]) for x, y in defined],
-                   [starts.get(g.tgt[y], []) for y in names].__getitem__)
+    _associativity(rb, "G1-assoc", arrows, prod, defined, [starts[v] for v in tgt].__getitem__)
 
-    unit_owner: dict[str, str] = {}
-    for u in objects:
-        e = g.unit[u]
-        if g.src[e] != u or g.tgt[e] != u:
-            rb.violation("unit-endpoints", (u, e),
-                         f"unit arrow has endpoints ({g.src[e]},{g.tgt[e]}), expected ({u},{u})")
+    unit_owner: dict[int, int] = {}
+    for u, e in enumerate(unit):
+        if src[e] != u or tgt[e] != u:
+            ends = f"({objects[src[e]]},{objects[tgt[e]]}), expected ({objects[u]},{objects[u]})"
+            rb.violation("unit-endpoints", (objects[u], arrows[e]),
+                         f"unit arrow has endpoints {ends}")
         if e in unit_owner:
-            rb.violation("unit-injective", (unit_owner[e], u, e), "two objects share a unit arrow")
+            rb.violation("unit-injective", (objects[unit_owner[e]], objects[u], arrows[e]),
+                         "two objects share a unit arrow")
         else:
             unit_owner[e] = u
 
-    for x in arrows:
-        u, v, xi = g.src[x], g.tgt[x], g.inv[x]
-        for rule, pair, want, text in (
-            ("G2-left-unit", (g.unit[u], x), x, "unit({u}).{x} = {got}"),
-            ("G2-right-unit", (x, g.unit[v]), x, "{x}.unit({v}) = {got}"),
-            ("G3-left-inverse", (xi, x), g.unit[v], "inv({x}).{x} = {got}, expected {want}"),
-            ("G3-right-inverse", (x, xi), g.unit[u], "{x}.inv({x}) = {got}, expected {want}"),
+    for x, (u, v, xi) in enumerate(zip(src, tgt, inv)):
+        for rule, (a, b), want, text in (
+            ("G2-left-unit", (unit[u], x), x, "unit({u}).{x} = {got}"),
+            ("G2-right-unit", (x, unit[v]), x, "{x}.unit({v}) = {got}"),
+            ("G3-left-inverse", (xi, x), unit[v], "inv({x}).{x} = {got}, expected {want}"),
+            ("G3-right-inverse", (x, xi), unit[u], "{x}.inv({x}) = {got}, expected {want}"),
         ):
-            got = g.prod.get(pair)
+            got = prod[a][b]
             if got != want:
-                got = "undefined" if got is None else got
-                rb.violation(rule, (x,), text.format(u=u, v=v, x=x, got=got, want=want))
+                got = "undefined" if got == -1 else arrows[got]
+                rb.violation(rule, (arrows[x],), text.format(
+                    u=objects[u], v=objects[v], x=arrows[x], got=got, want=arrows[want]))
 
-    for rule, mapping in (("source-surjective", g.src), ("target-surjective", g.tgt)):
-        for u in sorted(g.objects - set(mapping.values())):
-            rb.violation(rule, (u,), f"no arrow has {rule.split('-')[0]} {u}")
+    for rule, ends in (("source-surjective", src), ("target-surjective", tgt)):
+        for u in sorted(set(range(len(objects))).difference(ends)):
+            rb.violation(rule, (objects[u],), f"no arrow has {rule.split('-')[0]} {objects[u]}")
 
     return rb.build()
 

@@ -6,20 +6,22 @@ The compatibility between the two layers can be decided two independent ways:
   (from a one-point groupoid) and negation are groupoid morphisms.  The
   identity and negation go through the generic morphism validator.  The
   instances of that validator on addition are read off G's own tables, so
-  the doubled groupoid G x G is never built; on an otherwise valid structure
-  an exact certificate (the bifunctor lemma, 2*P*|O| + 5*A^2 + O^2 checks)
-  may accept addition first;
+  the doubled groupoid G x G is never built: the pointwise ones always, the
+  M2 ones unless, on an otherwise valid structure, an exact certificate
+  (the bifunctor lemma, 2*A^2 row lookups) accepts them first;
 * mode ``def32``: check by direct enumeration that source, target, unit and
   inversion respect addition, plus the interchange law
   (x.y) + (z.t) = (x+z).(y+t); on an otherwise valid structure an exact
   certificate may accept interchange first.
 
 A certificate may only accept; when it refuses, the enumeration runs
-unchanged, so reports are the same either way.  The two P^2 enumerations
-read one integer view of the structure (_numbered), built once, a row of
-C-level lookups at a time, in one shape: per composable pair (x, y), a row
-of (x+z).(y+t) against (x.y)+(z.t).  def32 walks the stored pairs, def31
-all of them; the loops are separate, so def31 stays independent of def32.
+unchanged, so reports are the same either way.  Addition and interchange
+are read off the integer views of the base (core._integer_view) and of the
+two tables (grouptable._rows), each built once, which number the arrows
+and the objects alike, a row of C-level lookups at a time.  The two P^2
+enumerations have one shape: per composable pair (x, y), a row of
+(x+z).(y+t) against (x.y)+(z.t).  def32 walks the stored pairs, def31 all
+of them; the loops are separate, so def31 stays independent of def32.
 
 The two procedures provably agree on every input, including broken ones, and
 mode ``both`` runs them side by side and treats disagreement as a fatal bug.
@@ -35,9 +37,9 @@ from typing import Iterator
 from .core import (
     FiniteGroupoid,
     Morphism,
+    _integer_view,
     _loops,
     _null,
-    _product_rows,
     validate_groupoid,
     validate_morphism,
 )
@@ -47,7 +49,6 @@ from .grouptable import (
     _rows,
     additivity_report,
     closure_gate,
-    closure_report,
     noncommuting_pair,
     pair_token,
     skip_past_closure,
@@ -92,8 +93,6 @@ class GroupGroupoid:
     arrow_group: GroupTable
     object_group: GroupTable
 
-    _view = None  # set by _numbered, as GroupTable._view by grouptable._rows
-
     def __post_init__(self) -> None:
         if self.arrow_group.elements != self.base.arrows:
             raise MalformedStructure("arrow group must be defined on exactly the arrow set")
@@ -108,22 +107,6 @@ def structural_report(gg: GroupGroupoid) -> ValidationReport:
     rb.absorb(validate_group(gg.arrow_group), prefix="arrow-group:")
     rb.absorb(validate_group(gg.object_group), prefix="object-group:")
     return rb.build()
-
-
-def _numbered(gg: GroupGroupoid) -> tuple[list, dict, list, list, list]:
-    """The integer view that def31 and def32 enumerate over, built once; the
-    arrow group must be closed.  Returns (arrows, number, add, prod, pairs):
-    the arrow table's view (grouptable._rows), the rows of the base's view
-    (core._product_rows) on the same numbers, and every composable pair as
-    (x, y, x.y or -1), sorted, so that violations reach the report in
-    sorted runs, which ``ReportBuilder.build`` merges."""
-    if gg._view is None:
-        arrows, number, add = _rows(gg.arrow_group)
-        prod = _product_rows(gg.base)[2]
-        numbered = ((number[x], number[y]) for x, y in gg.base.composable_pairs())
-        pairs = [(x, y, prod[x][y]) for x, y in numbered]
-        object.__setattr__(gg, "_view", (arrows, number, add, prod, pairs))
-    return gg._view
 
 
 def _interchange_rows(add: list, prod: list, pairs: list, table: list) -> Iterator[tuple]:
@@ -145,15 +128,19 @@ def check_interchange(gg: GroupGroupoid) -> ValidationReport:
     """Exhaustive interchange law over all pairs of stored composable pairs;
     def32's enumeration and the reference its certificate is tested against.
 
-    On the integer view: for each stored composable pair (x, y), one row of
+    On the integer views: for each stored composable pair (x, y), one row of
     C-level lookups gives (x+z).(y+t) and (x.y)+(z.t) for every stored
     composable (z, t) (_interchange_rows), and only the positions where they
     differ (or the former is not stored) come back to Python.  Costs P^2
-    row steps for P stored composable pairs; the arrow group must be closed.
+    row steps for P stored composable pairs.  A product outside the arrow
+    group's element set is reported as closure only.
     """
-    arrows, _, add, prod, pairs = _numbered(gg)
-    pairs = [pair for pair in pairs if pair[2] != -1]
     rb = ReportBuilder()
+    if not closure_gate(rb, "interchange", {"arrow-group:": gg.arrow_group}):
+        return rb.build()
+    view, add = _integer_view(gg.base), _rows(gg.arrow_group)[2]
+    arrows, prod = view.arrows, view.prod
+    pairs = [pair for pair in view.pairs if pair[2] != -1]
     for x, y, combined, lhs in _interchange_rows(add, prod, pairs, add):
         for j in _mismatches(combined, lhs):
             z, t, _ = pairs[j]
@@ -238,81 +225,23 @@ def _def32_report(gg: GroupGroupoid, structure_valid: bool) -> ValidationReport:
     return rb.build()
 
 
-def _addition_certificate(gg: GroupGroupoid) -> bool:
-    """True only if addition G x G -> G passes validate_morphism; assumes the
-    structural report is clean (a valid base, two valid group tables).
-
-    Theorem (the bifunctor lemma; Mac Lane, Categories for the Working
-    Mathematician, II.3 Prop. 1): given that, addition is a groupoid
-    morphism exactly when
-    (a) src(x+z) = src x + src z and tgt(x+z) = tgt x + tgt z (M1);
-    (b) unit(u)+unit(v) = unit(u+v) and inv x + inv z = inv(x+z);
-    (c) for every stored x.y and object c, (x+1_c).(y+1_c) = (x.y)+1_c and
-        (1_c+x).(1_c+y) = 1_c+(x.y): the partial maps preserve products;
-    (d) for every x: a->b and z: c->d,
-        x+z = (x+1_c).(1_b+z) = (1_a+z).(x+1_d).
-    Each check is one of validate_morphism's instances on G x G, which gives
-    "only if".  If: write F(x,z) = x+z and take composable (x, y), (z, t)
-    with x: a->b, y: b->e, z: c->d, t: d->f.  By (d) and (c),
-    F(x.y, z.t) = F(x,1_c).F(y,1_c).F(1_e,z).F(1_e,t) and
-    F(x,z).F(y,t) = F(x,1_c).F(1_b,z).F(y,1_d).F(1_e,t); the middle factors
-    F(y,1_c).F(1_e,z) and F(1_b,z).F(y,1_d) both equal F(y,z) by (d); M1
-    makes every product here composable and the base makes it associative.
-
-    Only morphism facts are used, never def32's additivity or interchange,
-    so def31 stays independent of def32.  False proves nothing; the caller
-    then enumerates every instance with _addition_report.  Costs
-    2*P*|O| + 5*A^2 + O^2 checks for P stored products, A arrows and O
-    objects.
-    """
-    g = gg.base
-    add, add0 = gg.arrow_group.op, gg.object_group.op
-    src, tgt, unit, inv, prod = g.src, g.tgt, g.unit, g.inv, g.prod
-    if any(unit[w] != add[(unit[u], unit[v])] for (u, v), w in add0.items()):
-        return False
-    for (x, z), s in add.items():
-        a, b, c, d = src[x], tgt[x], src[z], tgt[z]
-        if (
-            src[s] != add0[(a, c)]
-            or tgt[s] != add0[(b, d)]
-            or inv[s] != add[(inv[x], inv[z])]
-            or prod.get((add[(x, unit[c])], add[(unit[b], z)])) != s
-            or prod.get((add[(unit[a], z)], add[(x, unit[d])])) != s
-        ):
-            return False
-    units = [unit[c] for c in sorted(g.objects)]
-    return all(
-        prod.get((add[(x, e)], add[(y, e)])) == add[(xy, e)]
-        and prod.get((add[(e, x)], add[(e, y)])) == add[(e, xy)]
-        for (x, y), xy in prod.items()
-        for e in units
-    )
-
-
-def _addition_report(gg: GroupGroupoid) -> ValidationReport:
-    """validate_morphism(addition: G x G -> G), read off G's own tables.
+def _addition_pointwise(gg: GroupGroupoid) -> ValidationReport:
+    """The pointwise instances of validate_morphism(addition: G x G -> G),
+    read off G's own tables; the arrow and object groups must be closed.
 
     G x G has the arrows (x|z) and objects (u|v) with componentwise structure
     maps, and stores (x|z).(y|t) exactly when G stores x.y and z.t; pair
-    tokens of distinct pairs of identifiers are distinct.  So its instances
-    are M1 and inverse compatibility per arrow pair (x, z), unit
-    compatibility per object pair (u, v), and M2 per pair of composable
-    pairs (x, y), (z, t) of G, stored or not, with validate_morphism's rules,
-    witnesses and messages.  Each row is C-level work over the integer view,
-    and only mismatching positions come back to Python.  M2 walks the pairs
-    as check_interchange does, one row of (x+z).(y+t) against (x.y)+(z.t)
-    per (x, y) (_interchange_rows); an unstored x.y or z.t reads a None pad
-    that no image equals, so an unstored composable pair always comes back,
-    since its image may be missing (-1).  Costs P_c^2 row steps for P_c
-    composable pairs plus 2*A^2 + O^2 checks, in O(A*P_c) extra memory.
+    tokens of distinct pairs of identifiers are distinct.  So its pointwise
+    instances are M1 and inverse compatibility per arrow pair (x, z) and
+    unit compatibility per object pair (u, v), with validate_morphism's
+    rules, witnesses and messages; _addition_products has the M2 instances.
+    Each row is C-level work over the integer views, the tables' and the
+    base's, which number the arrows and the objects alike, and only
+    mismatching positions come back to Python.  Costs 3*A^2 + O^2 row steps
+    for A arrows and O objects.
     """
-    g = gg.base
-    arrows, number, add, prod, pairs = _numbered(gg)
-    objects, place, add0 = _rows(gg.object_group)
-    src = [place[g.src[x]] for x in arrows]
-    tgt = [place[g.tgt[x]] for x in arrows]
-    inv = [number[g.inv[x]] for x in arrows]
-    unit = [number[g.unit[u]] for u in objects]
+    arrows, objects, src, tgt, inv, unit, *_ = _integer_view(gg.base)
+    add, add0 = _rows(gg.arrow_group)[2], _rows(gg.object_group)[2]
     token = cache(pair_token)
     rb = ReportBuilder()
 
@@ -321,36 +250,42 @@ def _addition_report(gg: GroupGroupoid) -> ValidationReport:
             want = add0[ends[x]]
             for z in _mismatches(map(ends.__getitem__, row), map(want.__getitem__, ends)):
                 a = token(arrows[x], arrows[z])
-                rb.violation(
-                    rule,
-                    (a,),
-                    f"{word}(f({a})) = {objects[ends[row[z]]]} "
-                    f"but f0({word}({a})) = {objects[want[ends[z]]]}",
-                )
+                rb.violation(rule, (a,), f"{word}(f({a})) = {objects[ends[row[z]]]} "
+                             f"but f0({word}({a})) = {objects[want[ends[z]]]}")
         inverted = add[inv[x]]
         for z in _mismatches(map(inverted.__getitem__, inv), map(inv.__getitem__, row)):
             a = token(arrows[x], arrows[z])
-            rb.violation(
-                "inverse-compatibility",
-                (a,),
-                f"f(inv({a})) = {arrows[inverted[inv[z]]]} but inv(f({a})) = {arrows[inv[row[z]]]}",
-            )
+            rb.violation("inverse-compatibility", (a,), f"f(inv({a})) = "
+                         f"{arrows[inverted[inv[z]]]} but inv(f({a})) = {arrows[inv[row[z]]]}")
     for u, row in enumerate(add0):
         units = add[unit[u]]
         for v in _mismatches(map(units.__getitem__, unit), map(unit.__getitem__, row)):
             p = token(objects[u], objects[v])
-            rb.violation(
-                "unit-compatibility",
-                (p,),
-                f"f(unit({p})) = {arrows[units[unit[v]]]} "
-                f"but unit(f0({p})) = {arrows[unit[row[v]]]}",
-            )
+            rb.violation("unit-compatibility", (p,), f"f(unit({p})) = {arrows[units[unit[v]]]} "
+                         f"but unit(f0({p})) = {arrows[unit[row[v]]]}")
+    return rb.build()
 
-    # M2: (x|z).(y|t) has the image (x+z).(y+t), and the product
-    # (x.y|z.t) the image (x.y)+(z.t), or the pad where it is not stored:
-    # an unstored x.y or z.t is -1, which reads the pad row or column
+
+def _addition_products(gg: GroupGroupoid) -> ValidationReport:
+    """The M2 instances of validate_morphism(addition: G x G -> G), one per
+    pair of composable pairs (x, y), (z, t) of G, stored or not, read off G's
+    own tables as _addition_pointwise reads the others.
+
+    (x|z).(y|t) has the image (x+z).(y+t), and the product (x.y|z.t) the
+    image (x.y)+(z.t), or the pad where it is not stored.  The pairs are
+    walked as check_interchange walks them, one row of the two per (x, y)
+    (_interchange_rows); an unstored x.y or z.t is -1, which reads a None
+    pad that no image equals, so an unstored composable pair always comes
+    back, since its image may be missing (-1).  Costs P_c^2 row steps for
+    P_c composable pairs, in O(A*P_c) extra memory; the arrow group must be
+    closed.
+    """
+    view, add = _integer_view(gg.base), _rows(gg.arrow_group)[2]
+    arrows, pairs = view.arrows, view.pairs
+    token = cache(pair_token)
+    rb = ReportBuilder()
     padded = [[*row, None] for row in add] + [[None] * (len(add) + 1)]
-    for x, y, images, lhs in _interchange_rows(add, prod, pairs, padded):
+    for x, y, images, lhs in _interchange_rows(add, view.prod, pairs, padded):
         for j in _mismatches(images, lhs):
             (z, t, _), image, want = pairs[j], images[j], lhs[j]
             a, c = token(arrows[x], arrows[z]), token(arrows[y], arrows[t])
@@ -364,27 +299,61 @@ def _addition_report(gg: GroupGroupoid) -> ValidationReport:
     return rb.build()
 
 
+def _addition_certificate(gg: GroupGroupoid) -> bool:
+    """True only if addition G x G -> G preserves every product (M2);
+    assumes the structural report (a valid base, two valid group tables) and
+    _addition_pointwise are clean, so that src, tgt and unit are additive.
+
+    Theorem (the bifunctor lemma; Mac Lane, Categories for the Working
+    Mathematician, II.3 Prop. 1): given that, addition preserves every
+    product exactly when
+    (d) for every x: a->b and z: c->d, x+z = (x+1_c).(1_b+z) = (1_a+z).(x+1_d).
+    Write F(x,z) = x+z.  Only if: (x|1_c).(1_b|z) = (x|z) = (1_a|z).(x|1_d)
+    in G x G, so each equation of (d) is an M2 instance.  If, in three steps.
+    First, x.y = x - 1_b + y on every composable pair x: a->b, y: b->e:
+    z = -1_b + y has src z = -b + b = e0, the identity object, since src is
+    additive, and 1_e0 is the identity arrow, since unit is; so (d) at
+    (x, z) reads x + z = x.(1_b + z) = x.y.  Second, (c): for every object
+    c, (x+1_c).(y+1_c) = (x.y)+1_c and (1_c+x).(1_c+y) = 1_c+(x.y), by that
+    formula on the composable pairs (x+1_c, y+1_c) and (1_c+x, 1_c+y) with
+    unit(b+c) = 1_b + 1_c and unit(c+b) = 1_c + 1_b.  Third, M2: for
+    composable (x, y), (z, t) with y: b->e, z: c->d, t: d->f, (d) and (c)
+    give F(x.y, z.t) = F(x,1_c).F(y,1_c).F(1_e,z).F(1_e,t) and
+    F(x,z).F(y,t) = F(x,1_c).F(1_b,z).F(y,1_d).F(1_e,t); the middle factors
+    F(y,1_c).F(1_e,z) and F(1_b,z).F(y,1_d) both equal F(y,z) by (d).
+    Additive src and tgt make every product here composable, and the base
+    makes it associative.
+
+    Only morphism facts are used, never def32's additivity or interchange,
+    so def31 stays independent of def32.  False proves nothing; the caller
+    then enumerates every instance with _addition_products.  Costs 2*A^2
+    row lookups in C for A arrows.
+    """
+    view, add = _integer_view(gg.base), _rows(gg.arrow_group)[2]
+    src, tgt, unit, row_at = view.src, view.tgt, view.unit, view.prod.__getitem__
+    at_src, at_tgt = [unit[c] for c in src], [unit[d] for d in tgt]
+    # per x: a->b, the rows of (x+1_c).(1_b+z) and (1_a+z).(x+1_d) over z: c->d
+    return all(
+        list(map(getitem, map(row_at, map(row.__getitem__, at_src)), add[unit[b]])) == row
+        == list(map(getitem, map(row_at, add[unit[a]]), map(row.__getitem__, at_tgt)))
+        for row, a, b in zip(add, src, tgt)
+    )
+
+
 def _morphism_based_report(gg: GroupGroupoid, structure_valid: bool) -> ValidationReport:
-    """Addition, the identity and negation as groupoid morphisms.  On a valid
-    structure _addition_certificate may accept addition; otherwise
-    _addition_report enumerates it."""
-    g = gg.base
-    point = "*"
+    """Addition, the identity and negation as groupoid morphisms.  Addition's
+    pointwise instances are always enumerated; on a valid structure with
+    those clean, _addition_certificate may accept its M2 instances, and
+    otherwise _addition_products enumerates them."""
+    g, point = gg.base, "*"
     rb = ReportBuilder()
-    if not (structure_valid and _addition_certificate(gg)):
-        rb.absorb(_addition_report(gg), prefix="add-map:")
-    identity = Morphism(
-        source=_ONE_POINT,
-        target=g,
-        f={point: gg.arrow_group.identity},
-        f0={point: gg.object_group.identity},
-    )
-    negation = Morphism(
-        source=g,
-        target=g,
-        f=dict(gg.arrow_group.inverse),
-        f0=dict(gg.object_group.inverse),
-    )
+    pointwise = _addition_pointwise(gg)
+    rb.absorb(pointwise, prefix="add-map:")
+    if not (structure_valid and pointwise.valid and _addition_certificate(gg)):
+        rb.absorb(_addition_products(gg), prefix="add-map:")
+    identity = Morphism(_ONE_POINT, g, {point: gg.arrow_group.identity},
+                        {point: gg.object_group.identity})
+    negation = Morphism(g, g, dict(gg.arrow_group.inverse), dict(gg.object_group.inverse))
     rb.absorb(validate_morphism(identity), prefix="identity-map:")
     rb.absorb(validate_morphism(negation), prefix="negation-map:")
     return rb.build()
@@ -402,7 +371,7 @@ def check_group_groupoid(gg: GroupGroupoid, mode: str = "both") -> ValidationRep
     if mode not in MODES:
         raise ValueError(f"mode must be one of {', '.join(MODES)}")
     common = structural_report(gg)
-    closed = closure_report(gg.arrow_group).valid and closure_report(gg.object_group).valid
+    closed = not {"arrow-group:closure", "object-group:closure"}.intersection(common.rules())
     rb = ReportBuilder()
     rb.absorb(common)
     sections = {

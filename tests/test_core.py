@@ -246,6 +246,34 @@ def test_structure_identities_reports_an_isotropy_that_is_not_a_group():
     assert not any(n.rule == "isotropy-isomorphic" for n in report.notes)
 
 
+# structure_identities expects input that passed validate_groupoid, where
+# none of these rules can fire; each is reached here on input that did not
+def _identities_of_broken_z3(rule, **overrides):
+    g = group_as_single_unit_groupoid(cyclic_group(3))
+    broken = rebuild(g, **{k: {**getattr(g, k), **v} for k, v in overrides.items()})
+    assert not validate_groupoid(broken).valid
+    return [(v.witness, v.message) for v in structure_identities(broken).by_rule(rule)]
+
+
+def test_structure_identities_reports_a_product_that_does_not_invert_contravariantly():
+    assert _identities_of_broken_z3("product-inverse-reversal", prod={("1", "1"): "0"}) == [
+        (("1", "1"), "inv(1.1) = 0 but inv(1).inv(1) = 1"),
+        (("2", "2"), "inv(2.2) = 2 but inv(2).inv(2) = 0"),
+    ]
+
+
+def test_structure_identities_reports_an_inversion_that_is_not_an_involution():
+    assert _identities_of_broken_z3("inversion-involution", inv={"1": "1"}) == [
+        (("2",), "inv(inv(2)) = 1")
+    ]
+
+
+def test_structure_identities_reports_a_unit_that_is_not_idempotent():
+    assert _identities_of_broken_z3("unit-idempotent", prod={("0", "0"): "1"}) == [
+        (("0",), "unit(0).unit(0) != unit(0)")
+    ]
+
+
 def test_identity_morphism_is_valid():
     g = pair_groupoid(["a", "b"])
     m = Morphism(g, g, {x: x for x in g.arrows}, {u: u for u in g.objects})

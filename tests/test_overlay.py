@@ -1,9 +1,9 @@
-from dataclasses import replace
+import random
+from dataclasses import fields, replace
 
 import pytest
 
 import groupoids.core as core
-import groupoids.grouptable as grouptable
 import groupoids.overlay as overlay
 from groupoids import (
     GroupGroupoid,
@@ -11,6 +11,7 @@ from groupoids import (
     InternalCheckFailed,
     MalformedStructure,
     Morphism,
+    Note,
     check_derived_identities,
     check_group_groupoid,
     check_interchange,
@@ -62,6 +63,31 @@ def test_interchange_on_valid_structure():
     assert check_interchange(gg).valid
 
 
+OUTSIDE_CARRIER_BASES = (
+    group_pair_groupoid(cyclic_group(4)),
+    group_pair_groupoid(cyclic_group(5)),
+    group_pair_groupoid(symmetric_group(3)),
+    null_group_groupoid(symmetric_group(4)),
+    single_unit_group_groupoid(cyclic_group(16)),
+)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_interchange_reports_a_sum_outside_the_arrow_group(seed):
+    # one arrow-group sum set to a token that is no element, which only the
+    # API can do; check_group_groupoid gates this, a direct call must too
+    rng = random.Random(seed)
+    for gg in OUTSIDE_CARRIER_BASES:
+        key = rng.choice(sorted(gg.arrow_group.op))
+        report = check_interchange(mutate_table(gg, "arrow_group", "op", key, "zz-outside"))
+        assert [(v.rule, v.witness) for v in report.violations] == [
+            ("arrow-group:closure", (*key, "zz-outside"))
+        ]
+        assert report.notes == (
+            Note("interchange", "skipped", "a group table has a product outside its element set"),
+        )
+
+
 def test_interchange_witness_on_s3_overlay(s3_control):
     report = check_interchange(s3_control)
     assert not report.valid
@@ -90,19 +116,22 @@ def test_verdicts_agree_on_a_broken_table():
 
 
 def test_def31_and_def32_read_one_integer_view(monkeypatch):
-    # mode both builds the numbered view once, on the views of the arrow
-    # table and of the base, which the structural report built first
+    # mode both builds the base's integer view once, for the structural
+    # report, and def31 and def32 read it; the group-groupoid holds no view
     gg = mutate_base(single_unit_group_groupoid(cyclic_group(4)), "prod", ("1", "1"), "3")
-    views = []
-    numbered = overlay._numbered
-    monkeypatch.setattr(overlay, "_numbered", lambda gg: views.append(numbered(gg)) or views[-1])
+    built = []
+    view = core._IntegerView
+    monkeypatch.setattr(core, "_IntegerView",
+                        lambda *parts: built.append(view(*parts)) or built[-1])
     assert not check_group_groupoid(gg, mode="both").valid
-    assert len(views) == 2 and views[0] is views[1]
-    arrows, number, add, prod, _ = views[0]
-    assert all(a is b for a, b in zip((arrows, number, add), grouptable._rows(gg.arrow_group)))
-    assert prod is core._product_rows(gg.base)[2]
-    # the views are no fields: equality and repr are those of a fresh structure
-    fresh = GroupGroupoid(gg.base, gg.arrow_group, gg.object_group)
+    assert len(built) == 1 and core._integer_view(gg.base) is built[0]
+    assert not hasattr(gg, "_view")
+    # the views are no fields: fields, equality and repr are those of a fresh structure
+    assert [f.name for f in fields(gg.base)] == [
+        "objects", "arrows", "src", "tgt", "unit", "inv", "prod"]
+    assert [f.name for f in fields(gg.arrow_group)] == ["elements", "op", "identity", "inverse"]
+    fresh = GroupGroupoid(replace(gg.base), replace(gg.arrow_group), replace(gg.object_group))
+    assert fresh.base._view is None and gg.base._view is not None
     assert fresh == gg and repr(fresh) == repr(gg) and "_view" not in repr(gg)
 
 

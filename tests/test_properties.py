@@ -36,6 +36,7 @@ from groupoids import (
     parse_structure_file,
     reconstruct_from_group,
     single_unit_group_groupoid,
+    structural_report,
     structure_identities,
     symmetric_group,
     trivial_group,
@@ -343,6 +344,16 @@ def test_certificates_only_accept(gg):
         assert _certified_reports(gg) == fast
 
 
+@given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated(), scrambled(), rewired()))
+@settings(max_examples=200, deadline=None)
+def test_the_addition_certificate_forces_the_reconstruction_formula(gg):
+    # on a valid structure whose addition passes the pointwise morphism laws,
+    # (d) alone gives x.y = x - unit(tgt x) + y, from which (c) follows
+    eligible = structural_report(gg).valid and overlay._addition_pointwise(gg).valid
+    if eligible and overlay._addition_certificate(gg):
+        assert not reconstruct_from_group(gg).by_rule("product-reconstruction")
+
+
 def _interchange_by_four_loops(gg: GroupGroupoid) -> ValidationReport:
     """The interchange law by four nested loops over the token tables: the
     reference that check_interchange must reproduce."""
@@ -399,8 +410,10 @@ def _addition_on_the_doubled_groupoid(gg: GroupGroupoid) -> ValidationReport:
 
 
 def _assert_enumerations_match_their_references(gg: GroupGroupoid) -> None:
-    assert overlay._addition_report(gg).to_dict() == \
-        _addition_on_the_doubled_groupoid(gg).to_dict()
+    enumerated = ReportBuilder()  # def31's add-map section with the certificate refusing
+    enumerated.absorb(overlay._addition_pointwise(gg))
+    enumerated.absorb(overlay._addition_products(gg))
+    assert enumerated.build().to_dict() == _addition_on_the_doubled_groupoid(gg).to_dict()
     assert check_interchange(gg).to_dict() == _interchange_by_four_loops(gg).to_dict()
 
 
@@ -490,7 +503,7 @@ def test_valid_input_takes_the_fast_paths(gg, monkeypatch):
         raise AssertionError("def31 enumerated addition on valid input")
 
     monkeypatch.setattr(overlay, "check_interchange", exhaustive)
-    monkeypatch.setattr(overlay, "_addition_report", enumerated)
+    monkeypatch.setattr(overlay, "_addition_products", enumerated)
     for mode in ("def31", "def32", "both"):
         assert check_group_groupoid(gg, mode=mode).valid
     a = gg.arrow_group

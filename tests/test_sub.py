@@ -90,6 +90,20 @@ def test_group_subgroupoid_needs_group_closure():
     assert check_group_subgroupoid(gg, whole_diagonal).valid
 
 
+def test_group_subgroupoid_names_each_negation_that_escapes():
+    # on a finite subset closure under + already implies closure under
+    # negation, so -inverse-closed only adds witnesses to a failing verdict
+    gg = group_pair_groupoid(cyclic_group(4))
+    partial = SubStructure(frozenset({"(0|0)", "(1|1)"}), frozenset({"0", "1"}))
+    report = check_group_subgroupoid(gg, partial)
+    found = [(v.rule, v.witness, v.message) for v in report.violations
+             if v.rule.endswith("-inverse-closed")]
+    assert found == [
+        ("arrow-subgroup-inverse-closed", ("(1|1)",), "negation (3|3) escapes the subset"),
+        ("object-subgroup-inverse-closed", ("1",), "negation 3 escapes the subset"),
+    ]
+
+
 def test_isotropy_bundle_of_group_pair():
     gg = group_pair_groupoid(cyclic_group(4))
     bundle = isotropy_bundle(gg)
