@@ -419,50 +419,46 @@ def structure_identities(g: FiniteGroupoid) -> ValidationReport:
     conjugation.  An isotropy that is not a group is reported at its object
     instead, and the comparison is then skipped.
 
-    Expects a groupoid that already passed validate_groupoid; on broken input
-    the product lookups may be undefined, which is reported rather than raised.
+    Read off the integer view that validate_groupoid builds (_integer_view),
+    tokens only naming witnesses; the isotropy comparison goes through the
+    public helpers is_transitive and isotropy_group.  Expects a groupoid
+    that already passed validate_groupoid; on broken input a product may be
+    undefined, which is reported rather than raised.
     """
     rb = ReportBuilder()
-    arrows = sorted(g.arrows)
-    objects = sorted(g.objects)
+    arrows, objects, src, tgt, inv, unit, prod, _, pairs = _integer_view(g)
+    names = [*arrows, None]  # an unstored product, -1, prints None
 
-    for x, y in g.composable_pairs():
-        z = g.prod.get((x, y))
-        if z is None:
-            rb.violation("product-undefined", (x, y), "no product stored")
+    for x, y, z in pairs:
+        a, b = arrows[x], arrows[y]
+        if z == -1:
+            rb.violation("product-undefined", (a, b), "no product stored")
             continue
-        if g.src[z] != g.src[x]:
-            rb.violation("product-source", (x, y), f"source of {z} is not {g.src[x]}")
-        if g.tgt[z] != g.tgt[y]:
-            rb.violation("product-target", (x, y), f"target of {z} is not {g.tgt[y]}")
-        want = g.prod.get((g.inv[y], g.inv[x]))
-        if want is None or g.inv[z] != want:
-            rb.violation(
-                "product-inverse-reversal",
-                (x, y),
-                f"inv({x}.{y}) = {g.inv[z]} but inv({y}).inv({x}) = {want}",
-            )
+        if src[z] != src[x]:
+            rb.violation("product-source", (a, b),
+                         f"source of {arrows[z]} is not {objects[src[x]]}")
+        if tgt[z] != tgt[y]:
+            rb.violation("product-target", (a, b),
+                         f"target of {arrows[z]} is not {objects[tgt[y]]}")
+        want = prod[inv[y]][inv[x]]
+        if inv[z] != want:
+            rb.violation("product-inverse-reversal", (a, b),
+                         f"inv({a}.{b}) = {arrows[inv[z]]} but inv({b}).inv({a}) = {names[want]}")
 
-    for x in arrows:
-        xi = g.inv[x]
-        if g.src[xi] != g.tgt[x] or g.tgt[xi] != g.src[x]:
-            rb.violation(
-                "inverse-endpoints",
-                (x,),
-                f"inv({x}) has endpoints ({g.src[xi]},{g.tgt[xi]}), "
-                f"expected ({g.tgt[x]},{g.src[x]})",
-            )
-        if g.inv[xi] != x:
-            rb.violation("inversion-involution", (x,), f"inv(inv({x})) = {g.inv[xi]}")
+    for x, (a, u, v, xi) in enumerate(zip(arrows, src, tgt, inv)):
+        if src[xi] != v or tgt[xi] != u:
+            ends = f"({objects[src[xi]]},{objects[tgt[xi]]}), expected ({objects[v]},{objects[u]})"
+            rb.violation("inverse-endpoints", (a,), f"inv({a}) has endpoints {ends}")
+        if inv[xi] != x:
+            rb.violation("inversion-involution", (a,), f"inv(inv({a})) = {arrows[inv[xi]]}")
 
-    for u in objects:
-        e = g.unit[u]
-        if g.src[e] != u or g.tgt[e] != u:
-            rb.violation("unit-section", (u,), f"unit({u}) is not a loop at {u}")
-        if g.prod.get((e, e)) != e:
-            rb.violation("unit-idempotent", (u,), f"unit({u}).unit({u}) != unit({u})")
-        if g.inv[e] != e:
-            rb.violation("unit-self-inverse", (u,), f"inv(unit({u})) = {g.inv[e]}")
+    for u, (name, e) in enumerate(zip(objects, unit)):
+        if src[e] != u or tgt[e] != u:
+            rb.violation("unit-section", (name,), f"unit({name}) is not a loop at {name}")
+        if prod[e][e] != e:
+            rb.violation("unit-idempotent", (name,), f"unit({name}).unit({name}) != unit({name})")
+        if inv[e] != e:
+            rb.violation("unit-self-inverse", (name,), f"inv(unit({name})) = {arrows[inv[e]]}")
 
     if not is_transitive(g):
         rb.note("isotropy-isomorphic", "not-applicable", "groupoid is not transitive")

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, fields
 from itertools import compress, count, permutations, product as cartesian
 from operator import eq, ne
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .report import (
     DomainMismatch,
@@ -165,15 +165,28 @@ def closure_gate(rb: ReportBuilder, rule: str, tables: Mapping[str, GroupTable])
     return closed
 
 
-def _rows(table: GroupTable) -> tuple[list[str], dict[str, int], list[list]]:
-    """The table's integer view, built once: the sorted elements, their
-    numbers, and rows[i][j], the number of elements[i]+elements[j] or None
-    for a product outside the elements."""
+class _TableView(NamedTuple):
+    """A table numbered in sorted token order: element i is elements[i],
+    number[elements[i]] == i; rows[i][j], the number of
+    elements[i]+elements[j] or None for a product outside the elements;
+    inverse[i], the number of -elements[i]; identity, the identity's number."""
+
+    elements: list[str]
+    number: dict[str, int]
+    rows: list[list]
+    inverse: list[int]
+    identity: int
+
+
+def _rows(table: GroupTable) -> _TableView:
+    """The table's integer view, built on first use and cached on it."""
     if table._view is None:
         elems = sorted(table.elements)
         number = {x: i for i, x in enumerate(elems)}
         rows = [[number.get(table.op[(x, y)]) for y in elems] for x in elems]
-        object.__setattr__(table, "_view", (elems, number, rows))
+        inverse = [number[table.inverse[x]] for x in elems]
+        object.__setattr__(table, "_view", _TableView(elems, number, rows, inverse,
+                                                      number[table.identity]))
     return table._view
 
 
@@ -187,7 +200,7 @@ def additivity_report(
 ) -> ValidationReport:
     """One violation of rule per pair with h(x+y) != h(x)+h(y); dom must be
     closed.  Per x, a row of h(x+y) against h(x)+h(y) on the integer views."""
-    (elems, _, rows), (_, number, cod_rows) = _rows(dom), _rows(cod)
+    (elems, _, rows, *_), (_, number, cod_rows, *_) = _rows(dom), _rows(cod)
     image = [number[h[x]] for x in elems]
     rb = ReportBuilder()
     for x, row, hx in zip(elems, rows, image):
@@ -240,7 +253,7 @@ def _associativity_certificate(table: GroupTable) -> bool:
     returns False, which proves nothing: the caller then enumerates every
     triple.  Costs m^2 |S| lookups.  The table must be closed.
     """
-    rows = _rows(table)[2]
+    rows = _rows(table).rows
     generators = _generators(rows)
     return generators is not None and all(
         eq(*_regrouped(rows, x, s)) for s in generators for x in range(len(rows))
@@ -285,7 +298,7 @@ def validate_group(table: GroupTable) -> ValidationReport:
     unless Light's test (_associativity_certificate) proves it first.
     """
     rb = ReportBuilder()
-    elems, _, rows = _rows(table)
+    elems, _, rows, *_ = _rows(table)
     op = table.op
     e = table.identity
     if closure_gate(rb, "associativity", {"": table}) and not _associativity_certificate(table):
@@ -357,11 +370,10 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
     order_b = {y: element_order(b, y) for y in b.elements}
     if sorted(order_a.values()) != sorted(order_b.values()):
         return None
-    (elems_a, _, rows_a), (elems_b, _, rows_b) = _rows(a), _rows(b)
+    (elems_a, _, rows_a, _, e_a), (elems_b, _, rows_b, _, e_b) = _rows(a), _rows(b)
     generators = _generators(rows_a) or []  # [] if a is not a group: phi stays short
     choices = [[j for j, y in enumerate(elems_b) if order_b[y] == order_a[elems_a[g]]]
                for g in generators]
-    e_a, e_b = elems_a.index(a.identity), elems_b.index(b.identity)
 
     def search(images: list[int]) -> dict[int, int] | None:
         # phi on the span of the generators imaged so far, then the next image

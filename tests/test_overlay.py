@@ -88,6 +88,50 @@ def test_interchange_reports_a_sum_outside_the_arrow_group(seed):
         )
 
 
+# the outside-carrier entries that the mutants benchmark draws at seeds 0-4,
+# one per base of OUTSIDE_CARRIER_BASES, and how unit_fiber_subgroups refuses
+# those that lie in a unit fiber
+OUTSIDE_CARRIER_KEYS = (
+    (("(2|3)", "(1|3)"), ("(4|1)", "(4|0)"), ("(201|012)", "(201|021)"), ("0123", "2103"),
+     ("4", "14")),
+    (("(1|2)", "(2|3)"), ("(1|4)", "(1|4)"), ("(201|012)", "(012|012)"), ("1230", "1203"),
+     ("4", "4")),
+    (("(0|1)", "(0|2)"), ("(4|0)", "(2|4)"), ("(210|021)", "(210|021)"), ("2130", "1203"),
+     ("8", "12")),
+    (("(3|3)", "(0|0)"), ("(1|1)", "(0|4)"), ("(012|021)", "(201|120)"), ("2130", "2103"),
+     ("3", "4")),
+    (("(3|0)", "(3|1)"), ("(1|3)", "(3|4)"), ("(120|201)", "(012|102)"), ("2013", "1302"),
+     ("13", "10")),
+)
+UNIT_FIBER_REFUSALS = {
+    ("4", "14"): "source-fiber-op-closed at 4,14",
+    ("4", "4"): "source-fiber-op-closed at 4,4",
+    ("8", "12"): "source-fiber-op-closed at 8,12",
+    ("3", "4"): "source-fiber-op-closed at 3,4",
+    ("13", "10"): "source-fiber-op-closed at 13,10",
+    ("(201|012)", "(012|012)"): "target-fiber-op-closed at (201|012),(012|012)",
+    ("(0|1)", "(0|2)"): "source-fiber-op-closed at (0|1),(0|2)",
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unit_fiber_subgroups_refuses_a_sum_outside_the_arrow_group(seed):
+    # unit_fiber_subgroups runs the unit isotropy report with no closure gate,
+    # so a sum outside the arrow group reaches its rows as None
+    for gg, key in zip(OUTSIDE_CARRIER_BASES, OUTSIDE_CARRIER_KEYS[seed]):
+        mutant = mutate_table(gg, "arrow_group", "op", key, "zz-outside")
+        if key not in UNIT_FIBER_REFUSALS:
+            unit_fiber_subgroups(mutant)
+            continue
+        with pytest.raises(InternalCheckFailed) as refused:
+            unit_fiber_subgroups(mutant)
+        assert str(refused.value) == ("invalid group-groupoid: unit fibers are not subgroups: "
+                                      + UNIT_FIBER_REFUSALS[key])
+        if len(gg.base.objects) == 1:  # every arrow is a loop at the identity object
+            report = overlay.unit_isotropy_report(mutant, "product", "inverse")
+            assert [v.message.endswith("= zz-outside") for v in report.by_rule("product")] == [True]
+
+
 def test_interchange_witness_on_s3_overlay(s3_control):
     report = check_interchange(s3_control)
     assert not report.valid

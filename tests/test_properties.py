@@ -2,10 +2,11 @@
 build, the two compatibility definitions agree on arbitrary mutations, and
 the exact-arithmetic model satisfies its laws at arbitrary rational points."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from groupoids import (
     GroupGroupoid,
@@ -30,7 +31,12 @@ from groupoids import (
     direct_product_groups,
     emit_structure_file,
     fiber,
+    find_isomorphism,
+    group_as_single_unit_groupoid,
     group_pair_groupoid,
+    is_transitive,
+    isotropy_group,
+    noncommuting_pair,
     null_group_groupoid,
     pair_token,
     parse_structure_file,
@@ -234,6 +240,38 @@ def outside_carrier(draw) -> tuple[GroupGroupoid, str, tuple[str, str]]:
     return GroupGroupoid(gg.base, gg.arrow_group, fresh), which, key
 
 
+def relabelled_z(n: int, s: dict[int, int]) -> GroupGroupoid:
+    """Single-unit Z_n whose arrow group is Z_n relabelled by the permutation
+    s, over the trivial object group.  When s fixes 0 and commutes with
+    negation, the arrow group is a group with Z_n's identity and negation,
+    so the structural report, additivity and addition's pointwise laws are
+    all clean; yet by Eckmann-Hilton (two operations with a common unit that
+    interchange coincide) interchange holds only if s is an automorphism."""
+    z = cyclic_group(n)
+    op = {(str(s[i]), str(s[j])): str(s[(i + j) % n]) for i in range(n) for j in range(n)}
+    arrow_group = GroupTable(z.elements, op, "0", {str(s[i]): str(s[-i % n]) for i in range(n)})
+    return GroupGroupoid(group_as_single_unit_groupoid(z), arrow_group, trivial_group("0"))
+
+
+@st.composite
+def eckmann_hilton(draw, sizes=(5, 7, 8, 9, 10, 11, 12)) -> GroupGroupoid:
+    """relabelled_z for n in sizes and a drawn s that fixes 0 (and n/2),
+    commutes with negation and is no automorphism: these reach the refusing
+    certificates and the M2 and interchange enumerations on input that
+    passes everything else.  Z_6 is left out, since each such s of it is
+    an automorphism."""
+    n = draw(st.sampled_from(sizes))
+    half = range(1, (n + 1) // 2)  # one of each pair {x, -x} with x != -x
+    images = draw(st.permutations(half))
+    flips = draw(st.lists(st.booleans(), min_size=len(half), max_size=len(half)))
+    s = {0: 0} if n % 2 else {0: 0, n // 2: n // 2}
+    for x, image, flip in zip(half, images, flips):
+        s[x] = n - image if flip else image
+        s[n - x] = n - s[x]
+    assume(any(s[x] != s[1] * x % n for x in range(n)))
+    return relabelled_z(n, s)
+
+
 def assert_in_report_order(report) -> None:
     """Violations sorted by (rule, witness, message), with the key spelled out
     so the order does not rest on the entry class's own comparison."""
@@ -332,7 +370,10 @@ def _certified_reports(gg: GroupGroupoid) -> list:
     return [report.to_dict() for report in reports]
 
 
-@given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated(), scrambled(), rewired()))
+# Z_n with n <= 8 only: each such draw lists all n^4 failing quadruples in
+# three modes, with and without the certificates, about 0.7 s at n = 12
+@given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated(), scrambled(), rewired(),
+                 eckmann_hilton(sizes=(5, 7, 8))))
 @settings(max_examples=160, deadline=None)
 def test_certificates_only_accept(gg):
     # with every certificate refusing, every law is enumerated in full
@@ -342,6 +383,18 @@ def test_certificates_only_accept(gg):
         mp.setattr(overlay, "_interchange_certificate", lambda gg: False)
         mp.setattr(overlay, "_addition_certificate", lambda gg: False)
         assert _certified_reports(gg) == fast
+
+
+def test_both_certificates_refuse_a_relabelled_z5():
+    # s = (1 2)(3 4) fixes 0 and commutes with negation, and is no automorphism
+    gg = relabelled_z(5, {0: 0, 1: 2, 2: 1, 3: 4, 4: 3})
+    assert structural_report(gg).valid and overlay._additivity_report(gg).valid
+    assert overlay._addition_pointwise(gg).valid
+    assert not overlay._addition_certificate(gg) and not overlay._interchange_certificate(gg)
+    report = check_group_groupoid(gg, mode="both")  # raises on a disagreement
+    assert Counter(v.rule for v in report.violations) == {
+        "def31:add-map:M2-product": 384, "def32:interchange": 384,
+    }
 
 
 @given(st.one_of(st.sampled_from(CORPUS + CONTROLS), mutated(), scrambled(), rewired()))
@@ -484,6 +537,185 @@ def test_associativity_matches_its_reference(gg):
             assert found == _associativity_by_three_loops(
                 table.op, sorted(table.elements), lambda x, y: True
             )
+
+
+def _structure_identities_by_tokens(g: FiniteGroupoid) -> ValidationReport:
+    """structure_identities by loops over the token maps: the reference that
+    its reading of the integer view must reproduce."""
+    rb = ReportBuilder()
+    for x, y in g.composable_pairs():
+        z = g.prod.get((x, y))
+        if z is None:
+            rb.violation("product-undefined", (x, y), "no product stored")
+            continue
+        if g.src[z] != g.src[x]:
+            rb.violation("product-source", (x, y), f"source of {z} is not {g.src[x]}")
+        if g.tgt[z] != g.tgt[y]:
+            rb.violation("product-target", (x, y), f"target of {z} is not {g.tgt[y]}")
+        want = g.prod.get((g.inv[y], g.inv[x]))
+        if want is None or g.inv[z] != want:
+            rb.violation("product-inverse-reversal", (x, y),
+                         f"inv({x}.{y}) = {g.inv[z]} but inv({y}).inv({x}) = {want}")
+    for x in sorted(g.arrows):
+        xi = g.inv[x]
+        if g.src[xi] != g.tgt[x] or g.tgt[xi] != g.src[x]:
+            rb.violation("inverse-endpoints", (x,), f"inv({x}) has endpoints "
+                         f"({g.src[xi]},{g.tgt[xi]}), expected ({g.tgt[x]},{g.src[x]})")
+        if g.inv[xi] != x:
+            rb.violation("inversion-involution", (x,), f"inv(inv({x})) = {g.inv[xi]}")
+    objects = sorted(g.objects)
+    for u in objects:
+        e = g.unit[u]
+        if g.src[e] != u or g.tgt[e] != u:
+            rb.violation("unit-section", (u,), f"unit({u}) is not a loop at {u}")
+        if g.prod.get((e, e)) != e:
+            rb.violation("unit-idempotent", (u,), f"unit({u}).unit({u}) != unit({u})")
+        if g.inv[e] != e:
+            rb.violation("unit-self-inverse", (u,), f"inv(unit({u})) = {g.inv[e]}")
+    if not is_transitive(g):
+        rb.note("isotropy-isomorphic", "not-applicable", "groupoid is not transitive")
+        return rb.build()
+    tables = {}
+    for u in objects:
+        try:
+            tables[u] = isotropy_group(g, u)
+        except InternalCheckFailed as exc:
+            rb.violation("isotropy-isomorphic", (u,), str(exc))
+    if len(tables) == len(objects):
+        for u in objects[1:]:
+            if find_isomorphism(tables[objects[0]], tables[u]) is None:
+                rb.violation("isotropy-isomorphic", (objects[0], u),
+                             "isotropy groups are not isomorphic")
+    return rb.build()
+
+
+def _unit_isotropy_by_tokens(gg: GroupGroupoid, product_rule: str,
+                             inverse_rule: str) -> ValidationReport:
+    """unit_isotropy_report by two loops over the token maps, with no closure
+    gate: a sum outside the arrow group is compared as its token."""
+    g, A = gg.base, gg.arrow_group
+    e0 = gg.object_group.identity
+    loops = [x for x in g.fibers.get(("source", e0), ()) if g.tgt[x] == e0]
+    rb = ReportBuilder()
+    for x in loops:
+        for y in loops:
+            product, total = g.prod.get((x, y)), A.op[(x, y)]
+            if product != total:
+                rb.violation(product_rule, (x, y), f"{x}.{y} = {product} but {x}+{y} = {total}")
+        if g.inv[x] != A.inverse[x]:
+            rb.violation(inverse_rule, (x,), f"inv({x}) = {g.inv[x]} but -{x} = {A.inverse[x]}")
+    return rb.build()
+
+
+def _reconstruction_by_tokens(gg: GroupGroupoid) -> ValidationReport:
+    """reconstruct_from_group by loops over the token maps."""
+    g, A = gg.base, gg.arrow_group
+    rb = ReportBuilder()
+    if not grouptable.closure_gate(rb, "reconstruction", {"arrow-group:": A}):
+        return rb.build()
+    for x, y in g.composable_pairs():
+        stored = g.prod.get((x, y))
+        rebuilt = A.mul(x, A.inverse[g.unit[g.tgt[x]]], y)
+        if stored != rebuilt:
+            shown = stored if stored is not None else "nothing"
+            rb.violation("product-reconstruction", (x, y), f"stored {shown}, recomputed {rebuilt}")
+    for x in sorted(g.arrows):
+        rebuilt = A.mul(g.unit[g.src[x]], A.inverse[x], g.unit[g.tgt[x]])
+        if g.inv[x] != rebuilt:
+            rb.violation("inverse-reconstruction", (x,), f"stored {g.inv[x]}, recomputed {rebuilt}")
+    return rb.build()
+
+
+def _derived_identities_by_tokens(gg: GroupGroupoid) -> ValidationReport:
+    """check_derived_identities by loops over the token maps."""
+    g, A, O = gg.base, gg.arrow_group, gg.object_group
+    e, e0, neg = A.identity, O.identity, A.inverse
+    rb = ReportBuilder()
+    tables = {"arrow-group:": A, "object-group:": O}
+    if not grouptable.closure_gate(rb, "derived-identities", tables):
+        return rb.build()
+    rb.absorb(overlay._additivity_report(gg))
+
+    stored = [p for p in g.composable_pairs() if p in g.prod]
+    for x, y in stored:
+        lhs, rhs = g.prod.get((neg[x], neg[y])), neg[g.prod[(x, y)]]
+        if lhs is None or lhs != rhs:
+            rb.violation("negation-product-compat", (x, y),
+                         f"(-{x}).(-{y}) = {lhs} but -({x}.{y}) = {rhs}")
+
+    if g.src[e] != e0 or g.tgt[e] != e0:
+        rb.violation("identity-arrow-endpoints", (e,), "identity arrow has endpoints "
+                     f"({g.src[e]},{g.tgt[e]}), expected ({e0},{e0})")
+    if g.unit[e0] != e:
+        rb.violation("unit-of-identity", (e0,), f"unit({e0}) = {g.unit[e0]}, expected {e}")
+    if g.inv[e] != e:
+        rb.violation("inversion-fixes-identity", (e,), f"inv({e}) = {g.inv[e]}")
+
+    for word, name, h, dom, cod in (("source", "src", g.src, A, O), ("target", "tgt", g.tgt, A, O),
+                                    ("inversion", "inv", g.inv, A, A),
+                                    ("unit", "unit", g.unit, O, A)):
+        for x, nx in dom.inverse.items():
+            lhs, rhs = h[nx], cod.inverse[h[x]]
+            if lhs != rhs:
+                rb.violation(f"{word}-of-negation", (x,),
+                             f"{name}(-{x}) = {lhs} but -{name}({x}) = {rhs}")
+    for x, nx in neg.items():
+        if neg[nx] != x:
+            rb.violation("negation-involution", (x,), f"-(-{x}) = {neg[nx]}")
+
+    witness, which = noncommuting_pair(A), "arrow group"
+    if witness is None:
+        witness, which = noncommuting_pair(O), "object group"
+    if witness is not None:
+        rb.note("negation-distributes", "not-applicable",
+                f"{which} is not commutative (witness {witness[0]},{witness[1]})")
+    for (x, y), s in A.op.items():
+        ns, nx, ny = neg[s], neg[x], neg[y]
+        if ns != A.op[(ny, nx)]:
+            rb.violation("negation-antidistributes", (x, y), f"-({x}+{y}) != (-{y})+(-{x})")
+        if witness is None and ns != A.op[(nx, ny)]:
+            rb.violation("negation-distributes", (x, y), f"-({x}+{y}) != (-{x})+(-{y})")
+
+    src_fiber = g.fibers.get(("source", e0), ())
+    tgt_fiber = g.fibers.get(("target", e0), ())
+    for y in src_fiber:
+        if g.prod.get((e, y)) != y:
+            rb.violation("identity-left-neutral", (y,), f"{e}.{y} = {g.prod.get((e, y))}")
+    for x in tgt_fiber:
+        if g.prod.get((x, e)) != x:
+            rb.violation("identity-right-neutral", (x,), f"{x}.{e} = {g.prod.get((x, e))}")
+
+    for x, y in stored:
+        xy = g.prod[(x, y)]
+        for t in src_fiber:
+            lhs = g.prod.get((x, A.op[(y, t)]))
+            if lhs is None or lhs != A.op[(xy, t)]:
+                rb.violation("shift-by-source-fiber", (x, y, t),
+                             f"x.(y+t) = {lhs} but (x.y)+t = {A.op[(xy, t)]}")
+        for z in tgt_fiber:
+            lhs = g.prod.get((A.op[(x, z)], y))
+            if lhs is None or lhs != A.op[(xy, z)]:
+                rb.violation("shift-by-target-fiber", (x, y, z),
+                             f"(x+z).y = {lhs} but (x.y)+z = {A.op[(xy, z)]}")
+
+    rb.absorb(_unit_isotropy_by_tokens(gg, "isotropy-product-is-addition",
+                                       "isotropy-inverse-is-negation"))
+    return rb.build()
+
+
+@given(st.one_of(st.sampled_from(CORPUS + CONTROLS + tuple(UNSTORED_COMPOSABLE)), mutated(),
+                 scrambled(), rewired(), eckmann_hilton(),
+                 outside_carrier().map(lambda case: case[0])))
+@settings(max_examples=150, deadline=None)
+def test_identity_checks_match_their_token_references(gg):
+    # the loops over the token maps that the integer views replaced
+    assert check_derived_identities(gg).to_dict() == _derived_identities_by_tokens(gg).to_dict()
+    assert reconstruct_from_group(gg).to_dict() == _reconstruction_by_tokens(gg).to_dict()
+    assert (structure_identities(gg.base).to_dict()
+            == _structure_identities_by_tokens(gg.base).to_dict())
+    rules = ("unit-isotropy-product", "unit-isotropy-inverse")
+    assert (overlay.unit_isotropy_report(gg, *rules).to_dict()
+            == _unit_isotropy_by_tokens(gg, *rules).to_dict())
 
 
 class _CountingOp(dict):
