@@ -2,8 +2,9 @@
 
 A groupoid here is a pair of token sets (objects, arrows) with tabulated
 source/target/unit/inverse maps and a partial product stored only on the
-composable pairs.  Everything is checked by exhaustion and reported with
-witnesses; nothing is inferred or repaired.
+composable pairs.  Everything is checked by exhaustion, unless Light's test
+proves associativity first, and reported with witnesses; nothing is
+inferred or repaired.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from itertools import product as cartesian
 from typing import Iterator, Mapping, NamedTuple
 
 from .grouptable import (
-    GroupTable, _associativity, _unchecked, find_isomorphism, is_identifier, pair_token_table,
-    validate_group,
+    GroupTable, _associativity, _generating_set, _light_test, _unchecked, find_isomorphism,
+    is_identifier, pair_token_table, validate_group,
 )
 from .report import (
     DomainMismatch,
@@ -162,7 +163,6 @@ def check_wellformed(g: FiniteGroupoid) -> None:
             raise MalformedStructure(f"prod entry ({x},{y})={z} uses an undeclared arrow")
 
 
-
 def _null(objects: frozenset[str]) -> FiniteGroupoid:
     ident = {u: u for u in objects}
     return FiniteGroupoid(
@@ -252,13 +252,37 @@ def _product(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
     )
 
 
+def _associative_groupoid(g: FiniteGroupoid) -> bool:
+    """True only if the partial product is associative; it must be stored on
+    exactly the composable pairs, with the source of its first factor and
+    the target of its second (domain-*, G1-source and G1-target clean).
+
+    If no two arrows share a source (a null groupoid), that alone proves it:
+    x.y has the source of x, so it is x, with the target of y; so
+    (x.y).z = x.z = x = x.y = x.(y.z).  Otherwise Light's test
+    (grouptable._light_test) on a generating set of the arrows
+    (_generating_set): per generator s: u -> v, a row per x entering u,
+    over the z leaving v.  False proves nothing: the caller then enumerates
+    every composable triple.
+    """
+    _, objects, src, tgt, _, unit, prod, starts, _ = _integer_view(g)
+    if len(set(src)) == len(src):
+        return True
+    entering = [[] for _ in objects]
+    for x, v in enumerate(tgt):
+        entering[v].append(x)
+    generators = _generating_set(prod, src, tgt, range(len(src)), set(unit))
+    return _light_test(prod, generators, lambda s: entering[src[s]], lambda s: starts[tgt[s]])
+
+
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustive check of the groupoid axioms, on the integer view
     (_integer_view).
 
     Covers: the product is stored on exactly the composable pairs; source and
-    target of a product come from its factors; associativity, by the loop
-    that validate_group runs (grouptable._associativity); unit laws; inverse
+    target of a product come from its factors; associativity, by Light's
+    test when those hold (_associative_groupoid), else by the loop that
+    validate_group runs (grouptable._associativity); unit laws; inverse
     laws; surjectivity of source and target; injectivity of the unit map.
     Theorem: an object u that no arrow has as source (or target) also fails
     unit-endpoints at (u, unit(u)), since the unit axiom asks for the arrow
@@ -268,7 +292,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     rb = ReportBuilder()
     arrows, objects, src, tgt, inv, unit, prod, starts, pairs = _integer_view(g)
 
-    defined = []
+    defined, endpoints = [], True
     for x, y, xy in pairs:
         pair = (arrows[x], arrows[y])
         if xy == -1:
@@ -276,9 +300,11 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
             continue
         defined.append((x, y))
         if src[xy] != src[x]:
+            endpoints = False
             rb.violation("G1-source", pair,
                          f"source of product is {objects[src[xy]]}, expected {objects[src[x]]}")
         if tgt[xy] != tgt[y]:
+            endpoints = False
             rb.violation("G1-target", pair,
                          f"target of product is {objects[tgt[xy]]}, expected {objects[tgt[y]]}")
     if len(defined) != len(g.prod):  # some stored pair is not composable
@@ -286,7 +312,9 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
             rb.violation("domain-extra", pair, "product entry on a non-composable pair")
 
     # a missing product is explained by domain / endpoint violations already
-    _associativity(rb, "G1-assoc", arrows, prod, defined, [starts[v] for v in tgt].__getitem__)
+    clean = endpoints and len(defined) == len(pairs) == len(g.prod)
+    if not (clean and _associative_groupoid(g)):
+        _associativity(rb, "G1-assoc", arrows, prod, defined, [starts[v] for v in tgt].__getitem__)
 
     unit_owner: dict[int, int] = {}
     for u, e in enumerate(unit):

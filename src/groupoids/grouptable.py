@@ -1,9 +1,11 @@
 """Finite groups as explicit Cayley tables, checked exactly.
 
 Elements are opaque string tokens.  Every law is decided by enumeration
-over the table's integer view (_rows), a row at a time in C; the one
-shortcut, Light's associativity test, may only accept, and any failure of
-it runs the full enumeration, so reports are the same either way.
+over the table's integer view (_rows), a row at a time in C.  Two laws
+closed under the operation are first checked on a greedy generating set
+(_generating_set): associativity by Light's test and additivity of a map by
+the homomorphism lemma.  Such a certificate may only accept, and when it
+refuses the full enumeration runs, so reports are the same either way.
 Isomorphism is decided from the images of a generating set.
 """
 
@@ -11,8 +13,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
-from itertools import compress, count, permutations, product as cartesian
-from operator import eq, ne
+from collections import defaultdict
+from itertools import compress, count, permutations, product as cartesian, repeat
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .report import (
@@ -98,7 +101,10 @@ class GroupTable:
     identity: str
     inverse: Mapping[str, str]
 
-    _view = None  # set by _rows; a class attribute, not a field, as FiniteGroupoid._fibers
+    # set by _rows and _associative_generators; class attributes, not fields, as
+    # FiniteGroupoid._fibers
+    _view = None
+    _certified = None
 
     def __post_init__(self) -> None:
         check_table_wellformed(self)
@@ -183,7 +189,8 @@ def _rows(table: GroupTable) -> _TableView:
     if table._view is None:
         elems = sorted(table.elements)
         number = {x: i for i, x in enumerate(elems)}
-        rows = [[number.get(table.op[(x, y)]) for y in elems] for x in elems]
+        get = table.op.__getitem__
+        rows = [list(map(number.get, map(get, zip(repeat(x), elems)))) for x in elems]
         inverse = [number[table.inverse[x]] for x in elems]
         object.__setattr__(table, "_view", _TableView(elems, number, rows, inverse,
                                                       number[table.identity]))
@@ -195,69 +202,143 @@ def _mismatches(lhs: Iterable, rhs: Iterable) -> Iterator[int]:
     return compress(count(), map(ne, lhs, rhs))
 
 
+def _generating_set(rows: list[list], src: list[int], tgt: list[int], wanted: Iterable[int],
+                    units: set[int]) -> list[int]:
+    """A greedy set S such that every member of wanted is a composable word
+    s1.s2...sk in S, under the product of these index rows; x.y is
+    composable iff tgt[x] == src[y] (a table: every src and tgt 0), and must
+    be stored, with the target of y.
+
+    Over wanted, units last, each member not yet in the span becomes a
+    generator; the span holds S and is closed under right composition with
+    every generator.  Each arrow joins it once and meets the generators
+    leaving its target, each new generator the span entering its source:
+    O(A |S|) steps.  In a group the span of non-identity generators is a
+    subgroup, which each new one at least doubles (a union of cosets), so
+    |S| <= log2(m), or S is the identity alone: |S| <= log2(m) + 1.
+    """
+    generators: list[int] = []
+    span: set[int] = set()
+    leaving: dict[int, list[int]] = defaultdict(list)  # object -> generators with that source
+    entering: dict[int, list[int]] = defaultdict(list)  # object -> span members with that target
+    for g in sorted(wanted, key=units.__contains__):
+        if g in span:
+            continue
+        generators.append(g)
+        leaving[src[g]].append(g)
+        todo = [g, *map(itemgetter(g), map(rows.__getitem__, entering[src[g]]))]
+        while todo:
+            w = todo.pop()
+            if w not in span:
+                span.add(w)
+                entering[tgt[w]].append(w)
+                todo += map(rows[w].__getitem__, leaving[tgt[w]])
+    return generators
+
+
+def _light_test(rows: list[list], generators: Iterable[int], before: Callable[[int], Iterable],
+                after: Callable[[int], list | None]) -> bool:
+    """Light's test: True only if the partial product of these index rows is
+    associative, given generators of every arrow (_generating_set).
+    before(s) gives the x and after(s) the z that compose with s (None:
+    every z, whole rows).
+
+    Theorem (Light's test; Clifford & Preston 1961, vol. I): if every stored
+    product has the source of its first factor and the target of its
+    second, and (x.s).z == x.(s.z) for every generator s and all x, z that
+    compose with it, the product is associative.  Proof: such s are closed
+    under composition, as for two of them a, b with a.b stored,
+    (x.(a.b)).z = ((x.a).b).z = (x.a).(b.z) = x.(a.(b.z)) = x.((a.b).z),
+    each product stored by the endpoint rule; so every word in the
+    generators, which is every arrow, is one.  A group is its one-object
+    groupoid: validate_group and validate_groupoid both run this.
+
+    False proves nothing: the caller then enumerates every triple.  Costs a
+    row of the z per generator s and x in before(s), read in C, never more
+    rows than the enumeration's one per composable pair.
+    """
+    for s in generators:
+        zs, sz = after(s), rows[s]  # s.z per z
+        if zs is not None:
+            sz = list(map(sz.__getitem__, zs))
+        for x in before(s):
+            left = rows[rows[x][s]]  # (x.s).z per z
+            if zs is not None:
+                left = list(map(left.__getitem__, zs))
+            if left != list(map(rows[x].__getitem__, sz)):
+                return False
+    return True
+
+
+def _associative_generators(table: GroupTable) -> tuple[int, ...]:
+    """A generating set of the table (_generating_set) if Light's test proves
+    it closed and associative, else (): decided once and cached on the table,
+    for validate_group and the certificates that need an associative table."""
+    if table._certified is None:
+        view = _rows(table)
+        rows, every = view.rows, range(len(view.rows))
+        one = [0] * len(rows)  # a table is a one-object groupoid
+        generators = (table.elements.issuperset(table.op.values())  # closed
+                      and _generating_set(rows, one, one, every, {view.identity}))
+        certified = generators and _light_test(rows, generators, lambda s: every, lambda s: None)
+        object.__setattr__(table, "_certified", tuple(generators) if certified else ())
+    return table._certified
+
+
+def _additive_on_generators(image: list[int], dom: GroupTable, cod: GroupTable) -> bool:
+    """True only if the map h that image lists, on the numbers of the two
+    table views, is additive: h(x+y) == h(x)+h(y) for all x, y.
+
+    Theorem (the homomorphism lemma): if both tables are associative and
+    h(x+s) == h(x)+h(s) for every x and every s in a set S that generates
+    dom, h is additive.  Proof: such s are closed under +, as for two of
+    them a, b, h(x+(a+b)) = h((x+a)+b) = h(x+a)+h(b) = (h(x)+h(a))+h(b) =
+    h(x)+(h(a)+h(b)) = h(x)+h(a+b).  Light's test (_associative_generators)
+    proves both tables closed and associative and gives S.
+
+    False proves nothing: the caller then enumerates every pair
+    (_nonadditive).  Costs a column of m per generator, read in C.
+    """
+    generators = _associative_generators(dom)
+    if not generators or not _associative_generators(cod):
+        return False
+    rows, cod_rows = _rows(dom).rows, _rows(cod).rows
+    return all(
+        list(map(image.__getitem__, map(itemgetter(s), rows)))  # h(x+s) over x
+        == list(map(itemgetter(image[s]), map(cod_rows.__getitem__, image)))  # h(x)+h(s)
+        for s in generators
+    )
+
+
+def _nonadditive(image: list[int], dom: GroupTable, cod: GroupTable
+                 ) -> Iterator[tuple[int, int, int, int]]:
+    """(x, y, h(x+y), h(x)+h(y)) wherever the two differ, in order, for the
+    map h that image lists on the numbers of the two table views; dom must be
+    closed, and a sum outside cod is None.  Per x, a row of each, read in C:
+    the enumeration behind _additive_on_generators."""
+    rows, cod_rows = _rows(dom).rows, _rows(cod).rows
+    for x, row in enumerate(rows):
+        images = list(map(image.__getitem__, row))
+        sums = list(map(cod_rows[image[x]].__getitem__, image))
+        for y in _mismatches(images, sums):
+            yield x, y, images[y], sums[y]
+
+
 def additivity_report(
     rule: str, name: str, h: Mapping[str, str], dom: GroupTable, cod: GroupTable
 ) -> ValidationReport:
     """One violation of rule per pair with h(x+y) != h(x)+h(y); dom must be
-    closed.  Per x, a row of h(x+y) against h(x)+h(y) on the integer views."""
-    (elems, _, rows, *_), (_, number, cod_rows, *_) = _rows(dom), _rows(cod)
+    closed.  Accepted by the homomorphism certificate (_additive_on_generators)
+    or enumerated row by row on the integer views (_nonadditive)."""
+    (elems, _, rows, *_), (_, number, *_) = _rows(dom), _rows(cod)
     image = [number[h[x]] for x in elems]
     rb = ReportBuilder()
-    for x, row, hx in zip(elems, rows, image):
-        for j in _mismatches(map(image.__getitem__, row), map(cod_rows[hx].__getitem__, image)):
-            y, s = elems[j], elems[row[j]]
+    if not _additive_on_generators(image, dom, cod):
+        for i, j, _, _ in _nonadditive(image, dom, cod):
+            x, y, s = elems[i], elems[j], elems[rows[i][j]]
             msg = f"{name}({x}+{y}) = {h[s]} but {name}({x})+{name}({y}) = {cod.op[(h[x], h[y])]}"
             rb.violation(rule, (x, y), msg)
     return rb.build()
-
-
-def _generators(rows: list[list[int]]) -> list[int] | None:
-    """A greedy generating set S of the closed table with these index rows, or
-    None when it shows the table is not a group.
-
-    S is grown over the elements in index order; its span is closed under
-    right addition of the generators, so every element of it is a product of
-    generators.  In a group each new generator at least doubles the span (the
-    old span is a subgroup, the new one a union of its cosets), so a smaller
-    step proves the table is not a group.  Hence |S| <= log2(m) + 1.
-    """
-    generators: list[int] = []
-    span: set[int] = set()
-    for g in range(len(rows)):
-        if g in span:
-            continue
-        generators.append(g)
-        before, span, todo = len(span), set(generators), list(generators)
-        while todo:
-            row = rows[todo.pop()]
-            for s in generators:
-                if row[s] not in span:
-                    span.add(row[s])
-                    todo.append(row[s])
-        if len(span) < 2 * before:
-            return None
-    return generators
-
-
-def _associativity_certificate(table: GroupTable) -> bool:
-    """Light's test: True only if the closed table is associative.
-
-    Theorem (Light's test; Clifford & Preston 1961, vol. I): if S generates the
-    table's magma and (x+s)+y == x+(s+y) for all x, y and every s in S, the
-    operation is associative.  Proof: the set T of such s is closed under
-    the product, since for a, b in T
-    (x+(a+b))+y = ((x+a)+b)+y = (x+a)+(b+y) = x+(a+(b+y)) = x+((a+b)+y),
-    so T holds the whole magma generated by S.
-
-    S is _generators' set; if that gives up, or any check fails, the test
-    returns False, which proves nothing: the caller then enumerates every
-    triple.  Costs m^2 |S| lookups.  The table must be closed.
-    """
-    rows = _rows(table).rows
-    generators = _generators(rows)
-    return generators is not None and all(
-        eq(*_regrouped(rows, x, s)) for s in generators for x in range(len(rows))
-    )
 
 
 def _regrouped(rows: list[list], x: int, y: int, zs: list | None = None) -> tuple[list, list]:
@@ -295,13 +376,13 @@ def validate_group(table: GroupTable) -> ValidationReport:
     associativity, which would compose it further, is then skipped.
     Associativity is enumerated on the integer view, m^2 rows compared in C,
     by the loop that validate_groupoid runs for G1-assoc (_associativity),
-    unless Light's test (_associativity_certificate) proves it first.
+    unless Light's test proves it first (_associative_generators).
     """
     rb = ReportBuilder()
     elems, _, rows, *_ = _rows(table)
     op = table.op
     e = table.identity
-    if closure_gate(rb, "associativity", {"": table}) and not _associativity_certificate(table):
+    if closure_gate(rb, "associativity", {"": table}) and not _associative_generators(table):
         every = range(len(elems))
         _associativity(rb, "associativity", elems, rows, cartesian(every, every))
     for x in elems:
@@ -358,11 +439,11 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
     phi(x)+phi(s)+phi(t) = phi(x)+phi(s+t).  So a map obeying the rule on a
     generating set is a homomorphism, fixed by the generators' images.  The
     search chooses the image of each member of a's greedy generating set S
-    (_generators) in turn, among b's elements of the same order, spreads
-    phi(x+s) = phi(x)+phi(s) from the identity, and drops a branch once phi
-    is not a well-defined injection: at most m^(log2 m + 1) candidates, as
-    |S| <= log2(m) + 1, each spread in m |S| steps (Miller 1978).  The map
-    returned is checked on all m^2 products.
+    (_associative_generators) in turn, among b's elements of the same order,
+    spreads phi(x+s) = phi(x)+phi(s) from the identity, and drops a branch
+    once phi is not a well-defined injection: at most m^(log2 m + 1)
+    candidates, as |S| <= log2(m) + 1, each spread in m |S| steps (Miller
+    1978).  The map returned is checked on all m^2 products.
     """
     if len(a.elements) != len(b.elements):
         return None
@@ -371,7 +452,9 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
     if sorted(order_a.values()) != sorted(order_b.values()):
         return None
     (elems_a, _, rows_a, _, e_a), (elems_b, _, rows_b, _, e_b) = _rows(a), _rows(b)
-    generators = _generators(rows_a) or []  # [] if a is not a group: phi stays short
+    generators = _associative_generators(a)
+    if len(generators) > len(elems_a).bit_length():  # more than a group needs
+        generators = ()  # a is not a group: phi stays short
     choices = [[j for j, y in enumerate(elems_b) if order_b[y] == order_a[elems_a[g]]]
                for g in generators]
 

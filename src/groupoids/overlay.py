@@ -6,12 +6,15 @@ The compatibility between the two layers can be decided two independent ways:
   (from a one-point groupoid) and negation are groupoid morphisms.  The
   identity and negation go through the generic morphism validator.  The
   instances of that validator on addition are read off G's own tables, so
-  the doubled groupoid G x G is never built: the pointwise ones always, the
-  M2 ones unless, on an otherwise valid structure, an exact certificate
-  (the bifunctor lemma, 2*A^2 row lookups) accepts them first;
+  the doubled groupoid G x G is never built: the pointwise ones unless the
+  homomorphism certificate accepts them first (they say that src, tgt, inv
+  and unit are additive), the M2 ones unless, on an otherwise valid
+  structure, an exact certificate (the bifunctor lemma, 2*A^2 row lookups)
+  accepts them first;
 * mode ``def32``: check by direct enumeration that source, target, unit and
   inversion respect addition, plus the interchange law
-  (x.y) + (z.t) = (x+z).(y+t); on an otherwise valid structure an exact
+  (x.y) + (z.t) = (x+z).(y+t); the homomorphism certificate may accept
+  additivity first, and on an otherwise valid structure an exact
   certificate may accept interchange first.
 
 A certificate may only accept; when it refuses, the enumeration runs
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
-from operator import getitem
+from operator import eq, getitem, itemgetter
 from typing import Iterator
 
 from .core import (
@@ -46,7 +49,11 @@ from .core import (
 )
 from .grouptable import (
     GroupTable,
+    _additive_on_generators,
+    _associative_generators,
+    _generating_set,
     _mismatches,
+    _nonadditive,
     _rows,
     additivity_report,
     closure_gate,
@@ -240,34 +247,29 @@ def _addition_pointwise(gg: GroupGroupoid) -> ValidationReport:
     instances are M1 and inverse compatibility per arrow pair (x, z) and
     unit compatibility per object pair (u, v), with validate_morphism's
     rules, witnesses and messages; _addition_products has the M2 instances.
-    Each row is C-level work over the integer views, the tables' and the
-    base's, which number the arrows and the objects alike, and only
-    mismatching positions come back to Python.  Costs 3*A^2 + O^2 row steps
-    for A arrows and O objects.
+    Each law says that a structure map h (src, tgt, inv or unit) is
+    additive: the homomorphism certificate (grouptable._additive_on_generators)
+    may accept it, else it is enumerated a row at a time on the integer
+    views (grouptable._nonadditive), 3*A^2 + O^2 row steps in all.
     """
     arrows, objects, src, tgt, inv, unit, *_ = _integer_view(gg.base)
-    add, add0 = _rows(gg.arrow_group).rows, _rows(gg.object_group).rows
+    A, O = gg.arrow_group, gg.object_group
     token = cache(pair_token)
     rb = ReportBuilder()
-
-    for x, row in enumerate(add):
-        for rule, word, ends in (("M1-source", "src", src), ("M1-target", "tgt", tgt)):
-            want = add0[ends[x]]
-            for z in _mismatches(map(ends.__getitem__, row), map(want.__getitem__, ends)):
-                a = token(arrows[x], arrows[z])
-                rb.violation(rule, (a,), f"{word}(f({a})) = {objects[ends[row[z]]]} "
-                             f"but f0({word}({a})) = {objects[want[ends[z]]]}")
-        inverted = add[inv[x]]
-        for z in _mismatches(map(inverted.__getitem__, inv), map(inv.__getitem__, row)):
-            a = token(arrows[x], arrows[z])
-            rb.violation("inverse-compatibility", (a,), f"f(inv({a})) = "
-                         f"{arrows[inverted[inv[z]]]} but inv(f({a})) = {arrows[inv[row[z]]]}")
-    for u, row in enumerate(add0):
-        units = add[unit[u]]
-        for v in _mismatches(map(units.__getitem__, unit), map(unit.__getitem__, row)):
-            p = token(objects[u], objects[v])
-            rb.violation("unit-compatibility", (p,), f"f(unit({p})) = {arrows[units[unit[v]]]} "
-                         f"but unit(f0({p})) = {arrows[unit[row[v]]]}")
+    for rule, h, dom, cod, pair_names, names, text in (
+        ("M1-source", src, A, O, arrows, objects, "src(f({a})) = {hs} but f0(src({a})) = {sh}"),
+        ("M1-target", tgt, A, O, arrows, objects, "tgt(f({a})) = {hs} but f0(tgt({a})) = {sh}"),
+        ("inverse-compatibility", inv, A, A, arrows, arrows,
+         "f(inv({a})) = {sh} but inv(f({a})) = {hs}"),
+        ("unit-compatibility", unit, O, A, objects, arrows,
+         "f(unit({a})) = {sh} but unit(f0({a})) = {hs}"),
+    ):
+        if _additive_on_generators(h, dom, cod):
+            continue
+        # hs is h(x+z), sh is h(x)+h(z)
+        for x, z, hs, sh in _nonadditive(h, dom, cod):
+            a = token(pair_names[x], pair_names[z])
+            rb.violation(rule, (a,), text.format(a=a, hs=names[hs], sh=names[sh]))
     return rb.build()
 
 
@@ -347,9 +349,9 @@ def _addition_certificate(gg: GroupGroupoid) -> bool:
 
 def _morphism_based_report(gg: GroupGroupoid, structure_valid: bool) -> ValidationReport:
     """Addition, the identity and negation as groupoid morphisms.  Addition's
-    pointwise instances are always enumerated; on a valid structure with
-    those clean, _addition_certificate may accept its M2 instances, and
-    otherwise _addition_products enumerates them."""
+    pointwise instances are certified or enumerated (_addition_pointwise);
+    on a valid structure with those clean, _addition_certificate may accept
+    its M2 instances, and otherwise _addition_products enumerates them."""
     g, point = gg.base, "*"
     rb = ReportBuilder()
     pointwise = _addition_pointwise(gg)
@@ -403,6 +405,56 @@ def check_group_groupoid(gg: GroupGroupoid, mode: str = "both") -> ValidationRep
     return rb.build()
 
 
+def _shifted(gg: GroupGroupoid, columns: list, side: str, t: int) -> tuple[list, list]:
+    """Over the stored pairs (x, y, x.y), given as three columns: x.(y+t)
+    (side 'source') or (x+t).y (side 'target'), and (x.y)+t, as two lists
+    read in C; a product that is not stored reads -1."""
+    (xs, ys, xys), prod = columns, _integer_view(gg.base).prod
+    plus = list(map(itemgetter(t), _rows(gg.arrow_group).rows))  # w+t per arrow w
+    if side == "source":
+        shifted = map(getitem, map(prod.__getitem__, xs), map(plus.__getitem__, ys))
+    else:
+        shifted = map(getitem, map(prod.__getitem__, map(plus.__getitem__, xs)), ys)
+    return list(shifted), list(map(plus.__getitem__, xys))
+
+
+def _unshifted(gg: GroupGroupoid, columns: list, side: str, kernel: list
+               ) -> Iterator[tuple[int, int, int, int]]:
+    """(j, t, shifted, (x.y)+t) for each stored pair j = (x, y, x.y) of the
+    columns and each t in kernel where the shift law of that side fails
+    (_shifted): the enumeration behind _shifts_on_generators, one column
+    over the stored pairs per t."""
+    for t in kernel:
+        lhs, rhs = _shifted(gg, columns, side, t)
+        for j in _mismatches(lhs, rhs):
+            yield j, t, lhs[j], rhs[j]
+
+
+def _shifts_on_generators(gg: GroupGroupoid, columns: list, side: str, kernel: list) -> bool:
+    """True only if every stored pair (x, y) obeys the shift law of that side
+    by every t in kernel: x.(y+t) is stored and equals (x.y)+t (side
+    'source'), or (x+t).y is stored and equals (x.y)+t (side 'target').
+
+    Theorem: if the arrow group is associative, the t by which every stored
+    pair obeys the law are closed under +, so a generating set of the kernel
+    (_generating_set) is enough.  Proof (side 'source'; 'target' is its
+    mirror image): for two such a, b and a stored pair (x, y), (x, y+a) is
+    stored with x.(y+a) = (x.y)+a, so (x, (y+a)+b) is stored with
+    x.((y+a)+b) = (x.(y+a))+b = ((x.y)+a)+b, which associativity makes
+    x.(y+(a+b)) = (x.y)+(a+b).  Light's test (_associative_generators)
+    proves the arrow group associative; the base need not be valid.
+
+    False proves nothing: the caller then enumerates every t (_unshifted).
+    Costs a column over the stored pairs per generator, read in C.
+    """
+    if not _associative_generators(gg.arrow_group):
+        return False
+    view = _rows(gg.arrow_group)
+    one = [0] * len(view.rows)  # a table is a one-object groupoid
+    return all(eq(*_shifted(gg, columns, side, s))
+               for s in _generating_set(view.rows, one, one, kernel, {view.identity}))
+
+
 def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
     """Exhaustively verify the identities a valid group-groupoid must satisfy.
 
@@ -417,8 +469,11 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
 
     Read off the integer views of the base and the two tables, which number
     the arrows and the objects alike; tokens are looked up only to name a
-    witness.  The shift laws are two rows per stored pair, over ker src and
-    ker tgt, and antidistribution one row per arrow, each compared in C.
+    witness.  Negation's compatibility is one column over the stored pairs,
+    antidistribution one row per arrow, each compared in C.  Each shift law
+    is accepted by its certificate (_shifts_on_generators), or enumerated as
+    one column over the stored pairs per member of ker src or ker tgt
+    (_unshifted).
     """
     A, O = gg.arrow_group, gg.object_group
     rb = ReportBuilder()
@@ -429,26 +484,24 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
     (_, _, add, neg, e), e0, E, E0 = _rows(A), _rows(O).identity, A.identity, O.identity
     names = [*arrows, None]  # an unstored product, -1, prints None
     ker_src, ker_tgt = starts[e0], [z for z, d in enumerate(tgt) if d == e0]
-    # per arrow w, the rows of w+t over ker src and of w+z over ker tgt
-    plus_src, plus_tgt = ([list(map(row.__getitem__, ker)) for row in add]
-                          for ker in (ker_src, ker_tgt))
-    columns = list(zip(*prod))  # columns[y][w] is w.y
+    stored = [pair for pair in pairs if pair[2] != -1]
+    columns = [[pair[i] for pair in stored] for i in range(3)]  # x, y and x.y
+    xs, ys, xys = columns
 
-    for x, y, xy in pairs:
-        if xy == -1:
-            continue
-        a, b = arrows[x], arrows[y]
-        if prod[neg[x]][neg[y]] != neg[xy]:
-            rb.violation("negation-product-compat", (a, b), f"(-{a}).(-{b}) = "
-                         f"{names[prod[neg[x]][neg[y]]]} but -({a}.{b}) = {arrows[neg[xy]]}")
-        lhs = list(map(prod[x].__getitem__, plus_src[y]))  # x.(y+t) over t in ker src
-        for j in _mismatches(lhs, plus_src[xy]):
-            rb.violation("shift-by-source-fiber", (a, b, arrows[ker_src[j]]),
-                         f"x.(y+t) = {names[lhs[j]]} but (x.y)+t = {arrows[plus_src[xy][j]]}")
-        lhs = list(map(columns[y].__getitem__, plus_tgt[x]))  # (x+z).y over z in ker tgt
-        for j in _mismatches(lhs, plus_tgt[xy]):
-            rb.violation("shift-by-target-fiber", (a, b, arrows[ker_tgt[j]]),
-                         f"(x+z).y = {names[lhs[j]]} but (x.y)+z = {arrows[plus_tgt[xy][j]]}")
+    negated = list(map(getitem, map(prod.__getitem__, map(neg.__getitem__, xs)),
+                       map(neg.__getitem__, ys)))  # (-x).(-y) per stored pair
+    for j in _mismatches(negated, map(neg.__getitem__, xys)):
+        a, b = arrows[xs[j]], arrows[ys[j]]
+        rb.violation("negation-product-compat", (a, b), f"(-{a}).(-{b}) = "
+                     f"{names[negated[j]]} but -({a}.{b}) = {arrows[neg[xys[j]]]}")
+    for side, kernel, rule, text in (
+        ("source", ker_src, "shift-by-source-fiber", "x.(y+t) = {} but (x.y)+t = {}"),
+        ("target", ker_tgt, "shift-by-target-fiber", "(x+z).y = {} but (x.y)+z = {}"),
+    ):
+        if not _shifts_on_generators(gg, columns, side, kernel):
+            for j, t, lhs, rhs in _unshifted(gg, columns, side, kernel):
+                rb.violation(rule, (arrows[xs[j]], arrows[ys[j]], arrows[t]),
+                             text.format(names[lhs], arrows[rhs]))
 
     if src[e] != e0 or tgt[e] != e0:
         rb.violation("identity-arrow-endpoints", (E,), "identity arrow has endpoints "
@@ -467,12 +520,14 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
         rb.violation("negation-involution", (arrows[x],),
                      f"-(-{arrows[x]}) = {arrows[neg[neg[x]]]}")
 
-    witness, which = noncommuting_pair(A), "arrow group"
-    if witness is None:
-        witness, which = noncommuting_pair(O), "object group"
-    if witness is not None:
-        rb.note("negation-distributes", "not-applicable",
-                f"{which} is not commutative (witness {witness[0]},{witness[1]})")
+    witness = None
+    for which, table in (("arrow group", A), ("object group", O)):
+        rows = _rows(table).rows
+        if list(map(tuple, rows)) != list(zip(*rows)):  # not commutative: name the first pair
+            witness = noncommuting_pair(table)
+            rb.note("negation-distributes", "not-applicable",
+                    f"{which} is not commutative (witness {witness[0]},{witness[1]})")
+            break
     sums = list(zip(*add))  # sums[y][w] is w+y
     for x, row in enumerate(add):
         # -(x+y) against (-y)+(-x), the column of -x read at -y

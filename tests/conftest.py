@@ -86,6 +86,19 @@ def nonassociative_z4_table() -> GroupTable:
     return GroupTable(z4.elements, {**z4.op, ("2", "3"): "0"}, z4.identity, z4.inverse)
 
 
+def sums(rows: list, generators: list) -> set:
+    """Every sum of one or more generators under a table's index rows, by a
+    closure of its own: the reference for grouptable._generating_set."""
+    reached, todo = set(generators), list(generators)
+    while todo:
+        w = todo.pop()
+        for s in generators:
+            if rows[w][s] not in reached:
+                reached.add(rows[w][s])
+                todo.append(rows[w][s])
+    return reached
+
+
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, GroupGroupoid]:
     return build_corpus()

@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+import groupoids.core as core
+from conftest import build_corpus
 from groupoids import (
     FiniteGroupoid,
     InternalCheckFailed,
@@ -328,3 +330,94 @@ def test_collapse_morphism_to_null_point():
     pt = null_groupoid(["*"])
     m = Morphism(g, pt, {x: "*" for x in g.arrows}, {u: "*" for u in g.objects})
     assert validate_morphism(m).valid
+
+
+def _generators(g: FiniteGroupoid) -> list[str]:
+    view = core._integer_view(g)
+    numbers = core._generating_set(view.prod, view.src, view.tgt, range(len(view.arrows)),
+                                   set(view.unit))
+    return [view.arrows[s] for s in numbers]
+
+
+def _words(g: FiniteGroupoid, generators: list[str]) -> set[str]:
+    """Every composable word in the generators, by a closure over the token maps."""
+    reached, todo = set(generators), list(generators)
+    while todo:
+        w = todo.pop()
+        for s in generators:
+            if g.tgt[w] == g.src[s] and g.prod[(w, s)] not in reached:
+                reached.add(g.prod[(w, s)])
+                todo.append(g.prod[(w, s)])
+    return reached
+
+
+GENERATED = [
+    pair_groupoid(["a", "b", "c", "d"]),
+    null_groupoid(["a", "b", "c"]),
+    group_as_single_unit_groupoid(symmetric_group(3)),
+    direct_product_groupoids(pair_groupoid(["a", "b", "c"]),
+                             group_as_single_unit_groupoid(cyclic_group(6))),
+    direct_product_groupoids(null_groupoid(["a", "b"]),
+                             group_as_single_unit_groupoid(symmetric_group(3))),
+]
+
+
+@pytest.mark.parametrize("g", GENERATED + [gg.base for gg in build_corpus().values()])
+def test_every_arrow_is_a_composable_word_in_the_generating_set(g):
+    generators = _generators(g)
+    assert _words(g, generators) == set(g.arrows)
+    # Light's test reads one row per generator s and arrow entering its source,
+    # the enumeration one per composable pair: never more
+    entering = {u: sum(g.tgt[x] == u for x in g.arrows) for u in g.objects}
+    assert sum(entering[g.src[s]] for s in generators) <= len(list(g.composable_pairs()))
+
+
+def test_a_pair_groupoid_is_generated_by_the_arrows_in_and_out_of_one_object():
+    # greedy in sorted order: (a|b), (a|c), (a|d), then (b|a), (c|a), (d|a),
+    # each reaching its object's unit through an arrow that already entered it
+    assert _generators(pair_groupoid(["a", "b", "c", "d"])) == [
+        "(a|b)", "(a|c)", "(a|d)", "(b|a)", "(c|a)", "(d|a)",
+    ]
+
+
+class _CountingRows(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        type(self).reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("g", GENERATED)
+def test_the_generating_set_costs_a_row_read_per_arrow_and_generator(g):
+    view = core._integer_view(g)
+    rows = _CountingRows(view.prod)
+    _CountingRows.reads = 0
+    generators = core._generating_set(rows, view.src, view.tgt, range(len(view.arrows)),
+                                      set(view.unit))
+    # each arrow read once per generator leaving its target, and the arrows
+    # entering a generator's source once more when it joins
+    assert _CountingRows.reads <= 2 * len(view.arrows) * len(generators)
+
+
+def test_light_test_refuses_a_nonassociative_single_unit_groupoid(nonassociative_table):
+    g = core._single_unit(nonassociative_table)
+    assert not core._associative_groupoid(g)
+    report = validate_groupoid(g)
+    assert report.rules() == ("G1-assoc",)
+    t = nonassociative_table
+    elems = sorted(t.elements)
+    assert [v.witness for v in report.violations] == sorted(
+        (x, y, z) for x in elems for y in elems for z in elems
+        if t.op[(t.op[(x, y)], z)] != t.op[(x, t.op[(y, z)])]
+    )
+
+
+def test_a_null_groupoid_is_associative_without_a_row_read(monkeypatch):
+    # no two arrows share a source, so the endpoint rules force x.y = x
+    def read(*args):
+        raise AssertionError("a null groupoid read a row for G1-assoc")
+
+    for name in ("_associativity", "_generating_set", "_light_test"):
+        monkeypatch.setattr(core, name, read)
+    assert validate_groupoid(null_groupoid([str(i) for i in range(24)])).valid

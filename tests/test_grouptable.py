@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from functools import reduce
@@ -22,8 +23,11 @@ from groupoids import (
     validate_group,
     validate_groupoid,
 )
+from conftest import sums
 from groupoids.core import _single_unit
-from groupoids.grouptable import is_identifier
+from groupoids.grouptable import (
+    _additive_on_generators, _generating_set, _rows, additivity_report, is_identifier,
+)
 
 
 def test_pair_token():
@@ -289,10 +293,10 @@ def test_cyclic_group_rejects_nonpositive():
 
 
 def test_light_test_rejects_a_closed_nonassociative_table(nonassociative_table):
-    from groupoids.grouptable import _associativity_certificate
+    from groupoids.grouptable import _associative_generators
 
     t = nonassociative_table
-    assert not _associativity_certificate(t)
+    assert _associative_generators(t) == ()
     elems = sorted(t.elements)
     expected = sorted(
         (x, y, z)
@@ -351,3 +355,25 @@ def test_a_group_is_its_one_object_groupoid():
         assert group == groupoid
         broken += bool(group)
     assert broken > len(tables) // 4, broken
+
+
+def test_a_generating_set_of_a_group_has_at_most_log2_m_plus_one_members():
+    for table in _tables_up_to(24):
+        view = _rows(table)
+        m = len(view.rows)
+        one = [0] * m
+        generators = _generating_set(view.rows, one, one, range(m), {view.identity})
+        assert len(generators) <= math.log2(m) + 1, (sorted(table.elements), generators)
+        assert sums(view.rows, generators) == set(range(m))
+        if m > 1:  # the identity is a sum of any generator, so it is never one
+            assert view.identity not in generators
+
+
+def test_the_homomorphism_certificate_refuses_a_map_additive_on_all_but_one_pair():
+    # h(1) = 1 in Z_3: h(1+1) = h(0) = 0 but h(1)+h(1) = 2, and every pair with 0 holds
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    h = {"0": "0", "1": "1"}
+    assert not _additive_on_generators([0, 1], z2, z3)
+    report = additivity_report("hom", "h", h, z2, z3)
+    assert [v.witness for v in report.violations] == [("1", "1")]
+    assert not is_group_hom(h, z2, z3)

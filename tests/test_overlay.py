@@ -4,7 +4,9 @@ from dataclasses import fields, replace
 import pytest
 
 import groupoids.core as core
+import groupoids.grouptable as grouptable
 import groupoids.overlay as overlay
+from conftest import build_corpus, sums
 from groupoids import (
     GroupGroupoid,
     FiniteGroupoid,
@@ -396,3 +398,25 @@ def test_derived_identity_messages(base, where, field, key, value, rule, count, 
     found = check_derived_identities(bad).by_rule(rule)
     assert len(found) == count
     assert (found[0].witness, found[0].message) == (witness, message)
+
+
+@pytest.mark.parametrize("gg", list(build_corpus().values()), ids=list(build_corpus()))
+def test_every_kernel_member_is_a_sum_of_the_kernel_generating_set(gg):
+    view, table = core._integer_view(gg.base), grouptable._rows(gg.arrow_group)
+    e0 = grouptable._rows(gg.object_group).identity
+    one = [0] * len(table.rows)
+    for kernel in (view.starts[e0], [z for z, d in enumerate(view.tgt) if d == e0]):
+        generators = grouptable._generating_set(table.rows, one, one, kernel, {table.identity})
+        assert set(generators) <= set(kernel) <= sums(table.rows, generators)
+
+
+def test_the_shift_certificate_refuses_a_rewired_single_unit_z4():
+    # 1.1 stored as 3: 1.(1+1) = 1.2 = 3 but (1.1)+1 = 0, and (1+1).1 = 3 too
+    gg = mutate_base(single_unit_group_groupoid(cyclic_group(4)), "prod", ("1", "1"), "3")
+    stored = [pair for pair in core._integer_view(gg.base).pairs if pair[2] != -1]
+    columns = [[pair[i] for pair in stored] for i in range(3)]
+    for side in ("source", "target"):
+        assert not overlay._shifts_on_generators(gg, columns, side, [0, 1, 2, 3])
+    report = check_derived_identities(gg)
+    for rule in ("shift-by-source-fiber", "shift-by-target-fiber"):
+        assert ("1", "1", "1") in {v.witness for v in report.by_rule(rule)}

@@ -296,9 +296,7 @@ def test_products_outside_the_carrier_are_reported_not_raised(case):
     assert isinstance(report, ValidationReport)
     if which == "arrow":  # the only table reconstruction reads
         assert not report.valid and names(report, key)
-    identity = Morphism(gg.base, gg.base, {x: x for x in gg.base.arrows},
-                        {u: u for u in gg.base.objects})
-    report = validate_gg_morphism(identity, gg, gg)
+    report = validate_gg_morphism(_identity_map(gg), gg, gg)
     assert not report.valid and names(report, key)
     with pytest.raises((InternalCheckFailed, InvalidGroup)):
         anchor_morphism(gg)
@@ -364,10 +362,52 @@ def test_identity_checks_report_and_never_raise(gg):
         assert_in_report_order(report)
 
 
+def _fresh(gg: GroupGroupoid) -> GroupGroupoid:
+    """A copy with fresh maps, so that no view or verdict cached on gg carries over."""
+    g, a, o = gg.base, gg.arrow_group, gg.object_group
+    base = FiniteGroupoid(g.objects, g.arrows, dict(g.src), dict(g.tgt), dict(g.unit),
+                          dict(g.inv), dict(g.prod))
+    return GroupGroupoid(base, *(GroupTable(t.elements, dict(t.op), t.identity, dict(t.inverse))
+                                 for t in (a, o)))
+
+
+def _identity_map(gg: GroupGroupoid) -> Morphism:
+    return Morphism(gg.base, gg.base, {x: x for x in gg.base.arrows},
+                    {u: u for u in gg.base.objects})
+
+
 def _certified_reports(gg: GroupGroupoid) -> list:
+    gg = _fresh(gg)
     reports = [check_group_groupoid(gg, mode=mode) for mode in ("def31", "def32", "both")]
+    reports += [check_derived_identities(gg), validate_gg_morphism(_identity_map(gg), gg, gg)]
     reports += [validate_group(gg.arrow_group), validate_group(gg.object_group)]
     return [report.to_dict() for report in reports]
+
+
+def _refuse(*args) -> bool:
+    return False
+
+
+# the enumeration behind each certificate, at every name it is called by
+ENUMERATIONS = (
+    (grouptable, "_associativity"),  # validate_group
+    (core, "_associativity"),  # G1-assoc
+    (grouptable, "_nonadditive"),  # additivity_report
+    (overlay, "_nonadditive"),  # def31's pointwise laws
+    (overlay, "_unshifted"),
+    (overlay, "check_interchange"),
+    (overlay, "_addition_products"),
+)
+# each certificate, at every name it is called by
+CERTIFICATES = (
+    (grouptable, "_light_test"),  # associativity of a table, cached per table
+    (core, "_associative_groupoid"),  # G1-assoc
+    (grouptable, "_additive_on_generators"),  # additivity_report
+    (overlay, "_additive_on_generators"),  # def31's pointwise laws
+    (overlay, "_shifts_on_generators"),
+    (overlay, "_interchange_certificate"),
+    (overlay, "_addition_certificate"),
+)
 
 
 # Z_n with n <= 8 only: each such draw lists all n^4 failing quadruples in
@@ -379,9 +419,8 @@ def test_certificates_only_accept(gg):
     # with every certificate refusing, every law is enumerated in full
     fast = _certified_reports(gg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grouptable, "_associativity_certificate", lambda table: False)
-        mp.setattr(overlay, "_interchange_certificate", lambda gg: False)
-        mp.setattr(overlay, "_addition_certificate", lambda gg: False)
+        for module, name in CERTIFICATES:
+            mp.setattr(module, name, _refuse)
         assert _certified_reports(gg) == fast
 
 
@@ -530,7 +569,7 @@ def test_associativity_matches_its_reference(gg):
     )
     with pytest.MonkeyPatch.context() as mp:
         # Light's test off, so that the loop runs on associative tables too
-        mp.setattr(grouptable, "_associativity_certificate", lambda table: False)
+        mp.setattr(grouptable, "_associative_generators", lambda table: ())
         for table in (gg.arrow_group, gg.object_group):
             report = validate_group(table)
             found = [(v.witness, v.message) for v in report.by_rule("associativity")]
@@ -728,16 +767,17 @@ class _CountingOp(dict):
 
 @pytest.mark.parametrize("gg", CORPUS + (group_pair_groupoid(symmetric_group(3)),))
 def test_valid_input_takes_the_fast_paths(gg, monkeypatch):
-    def exhaustive(gg):
-        raise AssertionError("check_interchange ran on valid input")
+    # every certificate accepts valid input, so no enumeration behind one runs
+    def enumerated(*args):
+        raise AssertionError("an enumeration ran on valid input")
 
-    def enumerated(gg):
-        raise AssertionError("def31 enumerated addition on valid input")
-
-    monkeypatch.setattr(overlay, "check_interchange", exhaustive)
-    monkeypatch.setattr(overlay, "_addition_products", enumerated)
+    for module, name in ENUMERATIONS:
+        monkeypatch.setattr(module, name, enumerated)
+    gg = _fresh(gg)
     for mode in ("def31", "def32", "both"):
         assert check_group_groupoid(gg, mode=mode).valid
+    assert check_derived_identities(gg).valid
+    assert validate_gg_morphism(_identity_map(gg), gg, gg).valid
     a = gg.arrow_group
     counted = GroupTable(a.elements, _CountingOp(a.op), a.identity, a.inverse)
     assert validate_group(counted).valid
