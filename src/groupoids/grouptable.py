@@ -439,7 +439,7 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
     phi(x)+phi(s)+phi(t) = phi(x)+phi(s+t).  So a map obeying the rule on a
     generating set is a homomorphism, fixed by the generators' images.  The
     search chooses the image of each member of a's greedy generating set S
-    (_associative_generators) in turn, among b's elements of the same order,
+    (_generating_set) in turn, among b's elements of the same order,
     spreads phi(x+s) = phi(x)+phi(s) from the identity, and drops a branch
     once phi is not a well-defined injection: at most m^(log2 m + 1)
     candidates, as |S| <= log2(m) + 1, each spread in m |S| steps (Miller
@@ -452,9 +452,10 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
     if sorted(order_a.values()) != sorted(order_b.values()):
         return None
     (elems_a, _, rows_a, _, e_a), (elems_b, _, rows_b, _, e_b) = _rows(a), _rows(b)
-    generators = _associative_generators(a)
+    one = [0] * len(rows_a)  # a table is a one-object groupoid
+    generators = _generating_set(rows_a, one, one, range(len(rows_a)), {e_a})
     if len(generators) > len(elems_a).bit_length():  # more than a group needs
-        generators = ()  # a is not a group: phi stays short
+        generators = []  # a is not a group: phi stays short
     choices = [[j for j, y in enumerate(elems_b) if order_b[y] == order_a[elems_a[g]]]
                for g in generators]
 

@@ -441,13 +441,15 @@ def _shifts_on_generators(gg: GroupGroupoid, columns: list, side: str, kernel: l
     mirror image): for two such a, b and a stored pair (x, y), (x, y+a) is
     stored with x.(y+a) = (x.y)+a, so (x, (y+a)+b) is stored with
     x.((y+a)+b) = (x.(y+a))+b = ((x.y)+a)+b, which associativity makes
-    x.(y+(a+b)) = (x.y)+(a+b).  Light's test (_associative_generators)
-    proves the arrow group associative; the base need not be valid.
+    x.(y+(a+b)) = (x.y)+(a+b).  The step from (x, y+a) to (x, (y+a)+b)
+    needs the stored pair (x, y+a) among the columns, so the certificate
+    refuses unless every stored product is on a composable pair; Light's
+    test (_associative_generators) proves the arrow group associative.
 
     False proves nothing: the caller then enumerates every t (_unshifted).
     Costs a column over the stored pairs per generator, read in C.
     """
-    if not _associative_generators(gg.arrow_group):
+    if len(columns[0]) != len(gg.base.prod) or not _associative_generators(gg.arrow_group):
         return False
     view = _rows(gg.arrow_group)
     one = [0] * len(view.rows)  # a table is a one-object groupoid

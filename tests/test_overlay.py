@@ -420,3 +420,26 @@ def test_the_shift_certificate_refuses_a_rewired_single_unit_z4():
     report = check_derived_identities(gg)
     for rule in ("shift-by-source-fiber", "shift-by-target-fiber"):
         assert ("1", "1", "1") in {v.witness for v in report.by_rule(rule)}
+
+
+def test_the_shift_certificate_refuses_a_product_stored_off_a_composable_pair(monkeypatch):
+    # Z_6 over Z_2: arrows 0-3 leave object 0, 4 and 5 leave object 1, all
+    # enter 0, and x.y = x+y is stored for y <= 4, so x.4 is stored off a
+    # composable pair and x.5 not at all.  t = 1 generates ker src = {0,..,3}
+    # and shifts every composable pair, yet x.(3+2) = x.5 is not stored
+    # while (x.3)+2 = x+5: checking t = 1 alone would miss it
+    arrows, A = [str(i) for i in range(6)], cyclic_group(6)
+    base = FiniteGroupoid(
+        frozenset({"0", "1"}), frozenset(arrows), {x: "0" if x < "4" else "1" for x in arrows},
+        dict.fromkeys(arrows, "0"), {"0": "0", "1": "4"}, dict(A.inverse),
+        {(x, y): A.op[(x, y)] for x in arrows for y in arrows if y != "5"},
+    )
+    gg = GroupGroupoid(base, A, cyclic_group(2))
+    view = core._integer_view(base)
+    stored = [pair for pair in view.pairs if pair[2] != -1]
+    columns = [[pair[i] for pair in stored] for i in range(3)]
+    assert overlay._shifts_on_generators(gg, columns, "source", [1]) is False
+    report = check_derived_identities(gg)
+    assert ("0", "3", "2") in {v.witness for v in report.by_rule("shift-by-source-fiber")}
+    monkeypatch.setattr(overlay, "_shifts_on_generators", lambda *args: False)
+    assert check_derived_identities(gg).to_dict() == report.to_dict()

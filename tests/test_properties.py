@@ -381,6 +381,7 @@ def _certified_reports(gg: GroupGroupoid) -> list:
     reports = [check_group_groupoid(gg, mode=mode) for mode in ("def31", "def32", "both")]
     reports += [check_derived_identities(gg), validate_gg_morphism(_identity_map(gg), gg, gg)]
     reports += [validate_group(gg.arrow_group), validate_group(gg.object_group)]
+    reports += [structure_identities(gg.base)]  # its isotropy tables go through validate_group
     return [report.to_dict() for report in reports]
 
 
