@@ -2,9 +2,9 @@
 
 A groupoid here is a pair of token sets (objects, arrows) with tabulated
 source/target/unit/inverse maps and a partial product stored only on the
-composable pairs.  Everything is checked by exhaustion, unless Light's test
-proves associativity first, and reported with witnesses; nothing is
-inferred or repaired.
+composable pairs.  Everything is checked by exhaustion, unless Light's test,
+the associativity loop run on a generating set, proves associativity first,
+and reported with witnesses; nothing is inferred or repaired.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import product as cartesian
 from typing import Iterator, Mapping, NamedTuple
 
 from .grouptable import (
-    GroupTable, _associativity, _generating_set, _light_test, _unchecked, find_isomorphism,
+    GroupTable, _associativity, _generating_set, _unassociated, _unchecked, find_isomorphism,
     is_identifier, pair_token_table, validate_group,
 )
 from .report import (
@@ -103,8 +103,9 @@ class _IntegerView(NamedTuple):
     object u is objects[u]; src, tgt and inv per arrow and unit per object,
     as numbers; prod[i][j], the number of arrows[i].arrows[j] or -1 where no
     product is stored, with a -1 pad ending each row, so that a product with
-    a missing factor reads -1 too; starts[u], the arrows with source u; and
-    every composable pair as (x, y, x.y or -1), sorted."""
+    a missing factor reads -1 too; starts[u] and ends[u], the arrows with
+    source u and with target u, sorted; and every composable pair as
+    (x, y, x.y or -1), sorted."""
 
     arrows: list[str]
     objects: list[str]
@@ -114,6 +115,7 @@ class _IntegerView(NamedTuple):
     unit: list[int]
     prod: list[list[int]]
     starts: list[list[int]]
+    ends: list[list[int]]
     pairs: list[tuple[int, int, int]]
 
 
@@ -129,13 +131,14 @@ def _integer_view(g: FiniteGroupoid) -> _IntegerView:
         prod = [[-1] * (len(arrows) + 1) for _ in arrows]
         for (x, y), xy in g.prod.items():
             prod[number[x]][number[y]] = number[xy]
-        starts = [[] for _ in objects]
-        for x, u in enumerate(src):
+        starts, ends = [[] for _ in objects], [[] for _ in objects]
+        for x, (u, v) in enumerate(zip(src, tgt)):
             starts[u].append(x)
+            ends[v].append(x)
         pairs = [(x, y, row[y]) for x, row in enumerate(prod) for y in starts[tgt[x]]]
         object.__setattr__(g, "_view", _IntegerView(
             arrows, objects, src, tgt, [number[g.inv[x]] for x in arrows],
-            [number[g.unit[u]] for u in objects], prod, starts, pairs,
+            [number[g.unit[u]] for u in objects], prod, starts, ends, pairs,
         ))
     return g._view
 
@@ -259,20 +262,18 @@ def _associative_groupoid(g: FiniteGroupoid) -> bool:
 
     If no two arrows share a source (a null groupoid), that alone proves it:
     x.y has the source of x, so it is x, with the target of y; so
-    (x.y).z = x.z = x = x.y = x.(y.z).  Otherwise Light's test
-    (grouptable._light_test) on a generating set of the arrows
-    (_generating_set): per generator s: u -> v, a row per x entering u,
-    over the z leaving v.  False proves nothing: the caller then enumerates
-    every composable triple.
+    (x.y).z = x.z = x = x.y = x.(y.z).  Otherwise Light's test: the
+    associativity loop (grouptable._unassociated) on a generating set of
+    the arrows (_generating_set) as middles, per generator s: u -> v a row
+    per x entering u, over the z leaving v.  False proves nothing: the
+    caller then runs the loop on every middle.
     """
-    _, objects, src, tgt, _, unit, prod, starts, _ = _integer_view(g)
+    _, _, src, tgt, _, unit, prod, starts, ends, _ = _integer_view(g)
     if len(set(src)) == len(src):
         return True
-    entering = [[] for _ in objects]
-    for x, v in enumerate(tgt):
-        entering[v].append(x)
     generators = _generating_set(prod, src, tgt, range(len(src)), set(unit))
-    return _light_test(prod, generators, lambda s: entering[src[s]], lambda s: starts[tgt[s]])
+    return next(_unassociated(prod, generators, lambda s: ends[src[s]],
+                              lambda s: starts[tgt[s]]), None) is None
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
@@ -290,15 +291,15 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     alone.
     """
     rb = ReportBuilder()
-    arrows, objects, src, tgt, inv, unit, prod, starts, pairs = _integer_view(g)
+    arrows, objects, src, tgt, inv, unit, prod, starts, ends, pairs = _integer_view(g)
 
-    defined, endpoints = [], True
+    defined, endpoints = 0, True
     for x, y, xy in pairs:
         pair = (arrows[x], arrows[y])
         if xy == -1:
             rb.violation("domain-missing", pair, "composable pair has no product entry")
             continue
-        defined.append((x, y))
+        defined += 1
         if src[xy] != src[x]:
             endpoints = False
             rb.violation("G1-source", pair,
@@ -307,14 +308,15 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
             endpoints = False
             rb.violation("G1-target", pair,
                          f"target of product is {objects[tgt[xy]]}, expected {objects[tgt[y]]}")
-    if len(defined) != len(g.prod):  # some stored pair is not composable
+    if defined != len(g.prod):  # some stored pair is not composable
         for pair in sorted(p for p in g.prod if g.tgt[p[0]] != g.src[p[1]]):
             rb.violation("domain-extra", pair, "product entry on a non-composable pair")
 
     # a missing product is explained by domain / endpoint violations already
-    clean = endpoints and len(defined) == len(pairs) == len(g.prod)
+    clean = endpoints and defined == len(pairs) == len(g.prod)
     if not (clean and _associative_groupoid(g)):
-        _associativity(rb, "G1-assoc", arrows, prod, defined, [starts[v] for v in tgt].__getitem__)
+        _associativity(rb, "G1-assoc", arrows, prod, lambda y: ends[src[y]],
+                       lambda y: starts[tgt[y]])
 
     unit_owner: dict[int, int] = {}
     for u, e in enumerate(unit):
@@ -439,35 +441,29 @@ def conjugation_iso(g: FiniteGroupoid, x: str) -> dict[str, str]:
 def structure_identities(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustively verify the identities every valid groupoid must satisfy.
 
-    Endpoints of products and inverses, unit arrows being idempotent
-    self-inverse loops, inversion being an involution that swaps endpoints,
-    and products inverting contravariantly.  For a transitive groupoid, also
-    checks that the isotropy groups are pairwise isomorphic, by
-    find_isomorphism's search over generator images, which never uses
-    conjugation.  An isotropy that is not a group is reported at its object
+    Endpoints of inverses, unit arrows being idempotent and self-inverse,
+    inversion being an involution that swaps endpoints, and products
+    inverting contravariantly; validate_groupoid's rules, such as a product
+    being stored with the right endpoints, are not restated.  For a
+    transitive groupoid, also checks that the isotropy groups are pairwise
+    isomorphic, by find_isomorphism's search over generator images, which
+    never uses conjugation.  An isotropy that is not a group is reported at its object
     instead, and the comparison is then skipped.
 
     Read off the integer view that validate_groupoid builds (_integer_view),
     tokens only naming witnesses; the isotropy comparison goes through the
     public helpers is_transitive and isotropy_group.  Expects a groupoid
-    that already passed validate_groupoid; on broken input a product may be
-    undefined, which is reported rather than raised.
+    that already passed validate_groupoid; on broken input it reports what
+    it can read and never raises.
     """
     rb = ReportBuilder()
-    arrows, objects, src, tgt, inv, unit, prod, _, pairs = _integer_view(g)
+    arrows, objects, src, tgt, inv, unit, prod, _, _, pairs = _integer_view(g)
     names = [*arrows, None]  # an unstored product, -1, prints None
 
     for x, y, z in pairs:
-        a, b = arrows[x], arrows[y]
-        if z == -1:
-            rb.violation("product-undefined", (a, b), "no product stored")
+        if z == -1:  # not stored: inv[-1] would silently read the last arrow's
             continue
-        if src[z] != src[x]:
-            rb.violation("product-source", (a, b),
-                         f"source of {arrows[z]} is not {objects[src[x]]}")
-        if tgt[z] != tgt[y]:
-            rb.violation("product-target", (a, b),
-                         f"target of {arrows[z]} is not {objects[tgt[y]]}")
+        a, b = arrows[x], arrows[y]
         want = prod[inv[y]][inv[x]]
         if inv[z] != want:
             rb.violation("product-inverse-reversal", (a, b),
@@ -480,9 +476,7 @@ def structure_identities(g: FiniteGroupoid) -> ValidationReport:
         if inv[xi] != x:
             rb.violation("inversion-involution", (a,), f"inv(inv({a})) = {arrows[inv[xi]]}")
 
-    for u, (name, e) in enumerate(zip(objects, unit)):
-        if src[e] != u or tgt[e] != u:
-            rb.violation("unit-section", (name,), f"unit({name}) is not a loop at {name}")
+    for name, e in zip(objects, unit):
         if prod[e][e] != e:
             rb.violation("unit-idempotent", (name,), f"unit({name}).unit({name}) != unit({name})")
         if inv[e] != e:

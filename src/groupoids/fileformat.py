@@ -173,14 +173,15 @@ def _pair_mapping(entries, domain: set[str], what: str) -> dict[tuple[str, str],
     return out
 
 
-def _single(entries, kind_line: int, what: str) -> str:
+def _single(entries, kind_line: int, what: str) -> tuple[int, str]:
+    """The one (line, entry) of a single-valued section."""
     if not entries:
         raise StructureSyntaxError(f"missing section '{what}'", kind_line)
     if len(entries) > 1 and entries[1][0] == entries[0][0]:
         raise StructureSyntaxError(f"section '{what}' takes one identifier", entries[0][0])
     if len(entries) > 1:
         raise DuplicateDeclaration(f"section '{what}' given twice", entries[1][0])
-    return entries[0][1]
+    return entries[0]
 
 
 def parse_structure_file(text: str) -> StructureFile:
@@ -219,12 +220,14 @@ def parse_structure_file(text: str) -> StructureFile:
 
     # parse every section before constructing: a ParseError beats a shape error
     def table_fields(prefix: str, elements: set[str]) -> dict:
+        op = _pair_mapping(need(prefix + "op"), elements, prefix + "op")
+        line, identity = _single(sections.get(prefix + "id", []), kind_line, prefix + "id")
+        if _check_identifier(identity, line) not in elements:
+            raise UnknownIdentifier(f"unknown identifier '{identity}' in {prefix}id", line)
         return dict(
             elements=frozenset(elements),
-            op=_pair_mapping(need(prefix + "op"), elements, prefix + "op"),
-            identity=_check_identifier(
-                _single(sections.get(prefix + "id", []), kind_line, prefix + "id"), kind_line
-            ),
+            op=op,
+            identity=identity,
             inverse=_mapping(need(prefix + "inv"), elements, elements, prefix + "inv"),
         )
 
@@ -252,8 +255,8 @@ def parse_structure_file(text: str) -> StructureFile:
 
     # morphism: map entries cannot be resolved until the endpoints are loaded
     spec = MorphismSpec(
-        from_path=_single(sections.get("from", []), kind_line, "from"),
-        to_path=_single(sections.get("to", []), kind_line, "to"),
+        from_path=_single(sections.get("from", []), kind_line, "from")[1],
+        to_path=_single(sections.get("to", []), kind_line, "to")[1],
         f=_mapping(sections.get("f", []), None, None, "f"),
         f0=_mapping(sections.get("f0", []), None, None, "f0"),
     )

@@ -1,12 +1,13 @@
 """Finite groups as explicit Cayley tables, checked exactly.
 
 Elements are opaque string tokens.  Every law is decided by enumeration
-over the table's integer view (_rows), a row at a time in C.  Two laws
-closed under the operation are first checked on a greedy generating set
-(_generating_set): associativity by Light's test and additivity of a map by
-the homomorphism lemma.  Such a certificate may only accept, and when it
-refuses the full enumeration runs, so reports are the same either way.
-Isomorphism is decided from the images of a generating set.
+over the table's integer view (_rows), a row at a time in C.  Two laws are
+first decided by their own loop run on a greedy generating set
+(_generating_set): associativity (_unassociated) by Light's test and
+additivity of a map (_nonadditive) by the homomorphism lemma.  Such a
+certificate may only accept, and when it refuses the same loop runs on
+every element, so reports are the same either way.  Isomorphism is decided
+from the images of a generating set.
 """
 
 from __future__ import annotations
@@ -236,51 +237,57 @@ def _generating_set(rows: list[list], src: list[int], tgt: list[int], wanted: It
     return generators
 
 
-def _light_test(rows: list[list], generators: Iterable[int], before: Callable[[int], Iterable],
-                after: Callable[[int], list | None]) -> bool:
-    """Light's test: True only if the partial product of these index rows is
-    associative, given generators of every arrow (_generating_set).
-    before(s) gives the x and after(s) the z that compose with s (None:
-    every z, whole rows).
+def _table_generators(view: _TableView, wanted: Iterable[int]) -> list[int]:
+    """A generating set (_generating_set) of the members of wanted, on a
+    table's integer view: a table is a one-object groupoid."""
+    one = [0] * len(view.rows)
+    return _generating_set(view.rows, one, one, wanted, {view.identity})
+
+
+def _unassociated(rows: list[list], middles: Iterable[int], before: Callable[[int], Iterable],
+                  after: Callable[[int], list] | None = None
+                  ) -> Iterator[tuple[int, int, list | None, list, list]]:
+    """(x, y, zs, (x.y).z per z, x.(y.z) per z) for each middle y and each x
+    in before(y) with x.y stored, wherever the two rows differ, over the z
+    in zs = after(y) (None: every z, whole rows): the one associativity
+    loop.  Per middle the row of y.z is read once, then per x both sides
+    are lists read in C.  _associativity runs it on every middle, Light's
+    test on a generating set.
 
     Theorem (Light's test; Clifford & Preston 1961, vol. I): if every stored
     product has the source of its first factor and the target of its
-    second, and (x.s).z == x.(s.z) for every generator s and all x, z that
-    compose with it, the product is associative.  Proof: such s are closed
-    under composition, as for two of them a, b with a.b stored,
+    second, and the loop yields nothing on middles that generate every
+    arrow (_generating_set), the product is associative.  Proof: the s with
+    (x.s).z == x.(s.z) for all x, z that compose with s are closed under
+    composition, as for two of them a, b with a.b stored,
     (x.(a.b)).z = ((x.a).b).z = (x.a).(b.z) = x.(a.(b.z)) = x.((a.b).z),
     each product stored by the endpoint rule; so every word in the
-    generators, which is every arrow, is one.  A group is its one-object
-    groupoid: validate_group and validate_groupoid both run this.
-
-    False proves nothing: the caller then enumerates every triple.  Costs a
-    row of the z per generator s and x in before(s), read in C, never more
-    rows than the enumeration's one per composable pair.
+    generators, which is every arrow, is one.
     """
-    for s in generators:
-        zs, sz = after(s), rows[s]  # s.z per z
-        if zs is not None:
-            sz = list(map(sz.__getitem__, zs))
-        for x in before(s):
-            left = rows[rows[x][s]]  # (x.s).z per z
-            if zs is not None:
-                left = list(map(left.__getitem__, zs))
-            if left != list(map(rows[x].__getitem__, sz)):
-                return False
-    return True
+    for y in middles:
+        zs = None if after is None else after(y)
+        yz = rows[y] if zs is None else list(map(rows[y].__getitem__, zs))
+        for x in before(y):
+            xy = rows[x][y]
+            if xy == -1:
+                continue
+            left = rows[xy] if zs is None else list(map(rows[xy].__getitem__, zs))
+            right = list(map(rows[x].__getitem__, yz))
+            if left != right:
+                yield x, y, zs, left, right
 
 
 def _associative_generators(table: GroupTable) -> tuple[int, ...]:
-    """A generating set of the table (_generating_set) if Light's test proves
-    it closed and associative, else (): decided once and cached on the table,
-    for validate_group and the certificates that need an associative table."""
+    """A generating set of the table (_table_generators) if it is closed and
+    Light's test, the associativity loop on that set (_unassociated), proves
+    it associative, else (): decided once and cached on the table."""
     if table._certified is None:
         view = _rows(table)
-        rows, every = view.rows, range(len(view.rows))
-        one = [0] * len(rows)  # a table is a one-object groupoid
+        every = range(len(view.rows))
         generators = (table.elements.issuperset(table.op.values())  # closed
-                      and _generating_set(rows, one, one, every, {view.identity}))
-        certified = generators and _light_test(rows, generators, lambda s: every, lambda s: None)
+                      and _table_generators(view, every))
+        certified = generators and next(
+            _unassociated(view.rows, generators, lambda y: every), None) is None
         object.__setattr__(table, "_certified", tuple(generators) if certified else ())
     return table._certified
 
@@ -290,38 +297,36 @@ def _additive_on_generators(image: list[int], dom: GroupTable, cod: GroupTable) 
     table views, is additive: h(x+y) == h(x)+h(y) for all x, y.
 
     Theorem (the homomorphism lemma): if both tables are associative and
-    h(x+s) == h(x)+h(s) for every x and every s in a set S that generates
-    dom, h is additive.  Proof: such s are closed under +, as for two of
-    them a, b, h(x+(a+b)) = h((x+a)+b) = h(x+a)+h(b) = (h(x)+h(a))+h(b) =
-    h(x)+(h(a)+h(b)) = h(x)+h(a+b).  Light's test (_associative_generators)
+    the additivity loop (_nonadditive) finds h(s+y) == h(s)+h(y) for every
+    s in a set S that generates dom and every y, h is additive.  Proof: such
+    s are closed under +, as for two of them a, b, h((a+b)+y) =
+    h(a+(b+y)) = h(a)+(h(b)+h(y)) = (h(a)+h(b))+h(y) = h(a+b)+h(y), the last
+    step by the rule for a at y = b.  Light's test (_associative_generators)
     proves both tables closed and associative and gives S.
 
-    False proves nothing: the caller then enumerates every pair
-    (_nonadditive).  Costs a column of m per generator, read in C.
+    False proves nothing: the caller then runs the loop on every row.
+    Costs a row of each table per generator, read in C.
     """
     generators = _associative_generators(dom)
     if not generators or not _associative_generators(cod):
         return False
-    rows, cod_rows = _rows(dom).rows, _rows(cod).rows
-    return all(
-        list(map(image.__getitem__, map(itemgetter(s), rows)))  # h(x+s) over x
-        == list(map(itemgetter(image[s]), map(cod_rows.__getitem__, image)))  # h(x)+h(s)
-        for s in generators
-    )
+    return next(_nonadditive(image, dom, cod, generators), None) is None
 
 
-def _nonadditive(image: list[int], dom: GroupTable, cod: GroupTable
+def _nonadditive(image: list[int], dom: GroupTable, cod: GroupTable, xs: Iterable[int]
                  ) -> Iterator[tuple[int, int, int, int]]:
-    """(x, y, h(x+y), h(x)+h(y)) wherever the two differ, in order, for the
-    map h that image lists on the numbers of the two table views; dom must be
-    closed, and a sum outside cod is None.  Per x, a row of each, read in C:
-    the enumeration behind _additive_on_generators."""
+    """(x, y, h(x+y), h(x)+h(y)) wherever the two differ, in order, for each
+    x in xs and every y, for the map h that image lists on the numbers of the
+    two table views; dom must be closed, and a sum outside cod is None.  Per
+    x, a row of each, read in C: the one additivity loop, run on every x by
+    additivity_report and on a generating set by _additive_on_generators."""
     rows, cod_rows = _rows(dom).rows, _rows(cod).rows
-    for x, row in enumerate(rows):
-        images = list(map(image.__getitem__, row))
+    for x in xs:
+        images = list(map(image.__getitem__, rows[x]))
         sums = list(map(cod_rows[image[x]].__getitem__, image))
-        for y in _mismatches(images, sums):
-            yield x, y, images[y], sums[y]
+        if images != sums:
+            for y in _mismatches(images, sums):
+                yield x, y, images[y], sums[y]
 
 
 def additivity_report(
@@ -334,39 +339,28 @@ def additivity_report(
     image = [number[h[x]] for x in elems]
     rb = ReportBuilder()
     if not _additive_on_generators(image, dom, cod):
-        for i, j, _, _ in _nonadditive(image, dom, cod):
+        for i, j, _, _ in _nonadditive(image, dom, cod, range(len(elems))):
             x, y, s = elems[i], elems[j], elems[rows[i][j]]
             msg = f"{name}({x}+{y}) = {h[s]} but {name}({x})+{name}({y}) = {cod.op[(h[x], h[y])]}"
             rb.violation(rule, (x, y), msg)
     return rb.build()
 
 
-def _regrouped(rows: list[list], x: int, y: int, zs: list | None = None) -> tuple[list, list]:
-    """(x.y).z and x.(y.z) for the z in zs, or for every z (whole rows), as two
-    lists read in C: they are equal iff x, y associate with each such z."""
-    if zs is None:
-        return rows[rows[x][y]], list(map(rows[x].__getitem__, rows[y]))
-    return (list(map(rows[rows[x][y]].__getitem__, zs)),
-            list(map(rows[x].__getitem__, map(rows[y].__getitem__, zs))))
-
-
 def _associativity(rb: ReportBuilder, rule: str, names: list[str], rows: list[list],
-                   pairs: Iterable, after: Callable[[int], list] | None = None) -> None:
-    """Report (x.y).z != x.(y.z) under rule for every (x, y) in pairs, whose
-    product is stored, and every z in after(y) (every z if after is None),
-    skipping a missing product (-1): the one associativity loop, run by
-    validate_group and validate_groupoid on their integer views.  Per pair
-    both sides are lists read in C (_regrouped), and only their differing
-    positions reach Python, which is no shortcut: equal lists hold no violation."""
-    for x, y in pairs:
-        zs = None if after is None else after(y)
-        left, right = _regrouped(rows, x, y, zs)
-        if left != right:
-            for j in _mismatches(left, right):
-                if left[j] != -1 and right[j] != -1:
-                    x_, y_, z_ = names[x], names[y], names[j if zs is None else zs[j]]
-                    rb.violation(rule, (x_, y_, z_), f"({x_}.{y_}).{z_} = {names[left[j]]} "
-                                 f"but {x_}.({y_}.{z_}) = {names[right[j]]}")
+                   before: Callable[[int], Iterable], after: Callable[[int], list] | None = None
+                   ) -> None:
+    """Report (x.y).z != x.(y.z) under rule for every middle y, x in before(y)
+    with x.y stored and z in after(y) (every z if after is None), skipping a
+    product that is not stored (-1): the associativity loop (_unassociated)
+    on every middle, as validate_group and validate_groupoid run it.  Only
+    rows that differ reach Python, which is no shortcut: equal rows hold no
+    violation."""
+    for x, y, zs, left, right in _unassociated(rows, range(len(rows)), before, after):
+        for j in _mismatches(left, right):
+            if left[j] != -1 and right[j] != -1:
+                x_, y_, z_ = names[x], names[y], names[j if zs is None else zs[j]]
+                rb.violation(rule, (x_, y_, z_), f"({x_}.{y_}).{z_} = {names[left[j]]} "
+                             f"but {x_}.({y_}.{z_}) = {names[right[j]]}")
 
 
 def validate_group(table: GroupTable) -> ValidationReport:
@@ -384,7 +378,7 @@ def validate_group(table: GroupTable) -> ValidationReport:
     e = table.identity
     if closure_gate(rb, "associativity", {"": table}) and not _associative_generators(table):
         every = range(len(elems))
-        _associativity(rb, "associativity", elems, rows, cartesian(every, every))
+        _associativity(rb, "associativity", elems, rows, lambda y: every)
     for x in elems:
         if op[(e, x)] != x:
             rb.violation("left-identity", (x,), f"{e}.{x} = {op[(e, x)]}")
@@ -439,7 +433,7 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
     phi(x)+phi(s)+phi(t) = phi(x)+phi(s+t).  So a map obeying the rule on a
     generating set is a homomorphism, fixed by the generators' images.  The
     search chooses the image of each member of a's greedy generating set S
-    (_generating_set) in turn, among b's elements of the same order,
+    (_table_generators) in turn, among b's elements of the same order,
     spreads phi(x+s) = phi(x)+phi(s) from the identity, and drops a branch
     once phi is not a well-defined injection: at most m^(log2 m + 1)
     candidates, as |S| <= log2(m) + 1, each spread in m |S| steps (Miller
@@ -452,8 +446,7 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
     if sorted(order_a.values()) != sorted(order_b.values()):
         return None
     (elems_a, _, rows_a, _, e_a), (elems_b, _, rows_b, _, e_b) = _rows(a), _rows(b)
-    one = [0] * len(rows_a)  # a table is a one-object groupoid
-    generators = _generating_set(rows_a, one, one, range(len(rows_a)), {e_a})
+    generators = _table_generators(_rows(a), range(len(rows_a)))
     if len(generators) > len(elems_a).bit_length():  # more than a group needs
         generators = []  # a is not a group: phi stays short
     choices = [[j for j, y in enumerate(elems_b) if order_b[y] == order_a[elems_a[g]]]

@@ -18,7 +18,9 @@ The compatibility between the two layers can be decided two independent ways:
   certificate may accept interchange first.
 
 A certificate may only accept; when it refuses, the enumeration runs
-unchanged, so reports are the same either way.  Every law but the morphism
+unchanged, so reports are the same either way.  The homomorphism and shift
+certificates are their laws' own loops (grouptable._nonadditive,
+_unshifted) run on a generating set.  Every law but the morphism
 validators' is read off the integer views of the base (core._integer_view)
 and of the two tables (grouptable._rows), each built once, which number the
 arrows and the objects alike, a row of C-level lookups at a time; tokens
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
-from operator import eq, getitem, itemgetter
+from operator import getitem, itemgetter
 from typing import Iterator
 
 from .core import (
@@ -51,10 +53,10 @@ from .grouptable import (
     GroupTable,
     _additive_on_generators,
     _associative_generators,
-    _generating_set,
     _mismatches,
     _nonadditive,
     _rows,
+    _table_generators,
     additivity_report,
     closure_gate,
     noncommuting_pair,
@@ -216,7 +218,7 @@ def _interchange_certificate(gg: GroupGroupoid) -> bool:
         return False
     view, add = _integer_view(gg.base), _rows(gg.arrow_group).rows
     e0 = _rows(gg.object_group).identity
-    ker_tgt = [c for c, d in enumerate(view.tgt) if d == e0]
+    ker_tgt = view.ends[e0]
     # per a in ker src, the row of a+c against the column of c+a
     return all(
         list(map(add[a].__getitem__, ker_tgt))
@@ -249,8 +251,9 @@ def _addition_pointwise(gg: GroupGroupoid) -> ValidationReport:
     rules, witnesses and messages; _addition_products has the M2 instances.
     Each law says that a structure map h (src, tgt, inv or unit) is
     additive: the homomorphism certificate (grouptable._additive_on_generators)
-    may accept it, else it is enumerated a row at a time on the integer
-    views (grouptable._nonadditive), 3*A^2 + O^2 row steps in all.
+    may accept it, which runs the additivity loop (grouptable._nonadditive)
+    on the rows of a generating set, else that loop runs a row at a time
+    over every element of the integer views, 3*A^2 + O^2 row steps in all.
     """
     arrows, objects, src, tgt, inv, unit, *_ = _integer_view(gg.base)
     A, O = gg.arrow_group, gg.object_group
@@ -267,7 +270,7 @@ def _addition_pointwise(gg: GroupGroupoid) -> ValidationReport:
         if _additive_on_generators(h, dom, cod):
             continue
         # hs is h(x+z), sh is h(x)+h(z)
-        for x, z, hs, sh in _nonadditive(h, dom, cod):
+        for x, z, hs, sh in _nonadditive(h, dom, cod, range(len(h))):
             a = token(pair_names[x], pair_names[z])
             rb.violation(rule, (a,), text.format(a=a, hs=names[hs], sh=names[sh]))
     return rb.build()
@@ -422,18 +425,22 @@ def _unshifted(gg: GroupGroupoid, columns: list, side: str, kernel: list
                ) -> Iterator[tuple[int, int, int, int]]:
     """(j, t, shifted, (x.y)+t) for each stored pair j = (x, y, x.y) of the
     columns and each t in kernel where the shift law of that side fails
-    (_shifted): the enumeration behind _shifts_on_generators, one column
-    over the stored pairs per t."""
+    (_shifted), one column over the stored pairs per t: the one loop of the
+    shift laws, run on every kernel member by check_derived_identities and
+    on a generating set by _shifts_on_generators."""
     for t in kernel:
         lhs, rhs = _shifted(gg, columns, side, t)
-        for j in _mismatches(lhs, rhs):
-            yield j, t, lhs[j], rhs[j]
+        if lhs != rhs:
+            for j in _mismatches(lhs, rhs):
+                yield j, t, lhs[j], rhs[j]
 
 
 def _shifts_on_generators(gg: GroupGroupoid, columns: list, side: str, kernel: list) -> bool:
     """True only if every stored pair (x, y) obeys the shift law of that side
     by every t in kernel: x.(y+t) is stored and equals (x.y)+t (side
     'source'), or (x+t).y is stored and equals (x.y)+t (side 'target').
+    Runs the shift loop (_unshifted) on a generating set of the kernel
+    (grouptable._table_generators).
 
     Theorem: if the arrow group is associative, the t by which every stored
     pair obeys the law are closed under +, so a generating set of the kernel
@@ -446,15 +453,13 @@ def _shifts_on_generators(gg: GroupGroupoid, columns: list, side: str, kernel: l
     refuses unless every stored product is on a composable pair; Light's
     test (_associative_generators) proves the arrow group associative.
 
-    False proves nothing: the caller then enumerates every t (_unshifted).
-    Costs a column over the stored pairs per generator, read in C.
+    False proves nothing: the caller then runs the loop on every t.  Costs a
+    column over the stored pairs per generator, read in C.
     """
     if len(columns[0]) != len(gg.base.prod) or not _associative_generators(gg.arrow_group):
         return False
-    view = _rows(gg.arrow_group)
-    one = [0] * len(view.rows)  # a table is a one-object groupoid
-    return all(eq(*_shifted(gg, columns, side, s))
-               for s in _generating_set(view.rows, one, one, kernel, {view.identity}))
+    generators = _table_generators(_rows(gg.arrow_group), kernel)
+    return next(_unshifted(gg, columns, side, generators), None) is None
 
 
 def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
@@ -473,19 +478,19 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
     the arrows and the objects alike; tokens are looked up only to name a
     witness.  Negation's compatibility is one column over the stored pairs,
     antidistribution one row per arrow, each compared in C.  Each shift law
-    is accepted by its certificate (_shifts_on_generators), or enumerated as
-    one column over the stored pairs per member of ker src or ker tgt
-    (_unshifted).
+    is one column over the stored pairs per member of ker src or ker tgt
+    (_unshifted), run on a generating set of the kernel by its certificate
+    (_shifts_on_generators) and on every member when that refuses.
     """
     A, O = gg.arrow_group, gg.object_group
     rb = ReportBuilder()
     if not closure_gate(rb, "derived-identities", {"arrow-group:": A, "object-group:": O}):
         return rb.build()
     rb.absorb(_additivity_report(gg))
-    arrows, objects, src, tgt, inv, unit, prod, starts, pairs = _integer_view(gg.base)
+    arrows, objects, src, tgt, inv, unit, prod, starts, ends, pairs = _integer_view(gg.base)
     (_, _, add, neg, e), e0, E, E0 = _rows(A), _rows(O).identity, A.identity, O.identity
     names = [*arrows, None]  # an unstored product, -1, prints None
-    ker_src, ker_tgt = starts[e0], [z for z, d in enumerate(tgt) if d == e0]
+    ker_src, ker_tgt = starts[e0], ends[e0]
     stored = [pair for pair in pairs if pair[2] != -1]
     columns = [[pair[i] for pair in stored] for i in range(3)]  # x, y and x.y
     xs, ys, xys = columns

@@ -418,6 +418,6 @@ def test_a_null_groupoid_is_associative_without_a_row_read(monkeypatch):
     def read(*args):
         raise AssertionError("a null groupoid read a row for G1-assoc")
 
-    for name in ("_associativity", "_generating_set", "_light_test"):
+    for name in ("_associativity", "_generating_set", "_unassociated"):
         monkeypatch.setattr(core, name, read)
     assert validate_groupoid(null_groupoid([str(i) for i in range(24)])).valid

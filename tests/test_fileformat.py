@@ -134,6 +134,23 @@ def test_single_valued_sections_cannot_repeat():
     assert line_of(DuplicateDeclaration, group + "id: e\nid: f\n") == 6
 
 
+def test_an_identity_section_names_its_own_line():
+    group = emit_structure_file(cyclic_group(3))
+    assert group.splitlines()[5] == "id: 0"
+    with pytest.raises(StructureSyntaxError, match=r"^line 6: bad identifier 'a\.b'$"):
+        parse_structure_file(group.replace("id: 0", "id: a.b"))
+    with pytest.raises(UnknownIdentifier, match="^line 6: unknown identifier 'zz' in id$"):
+        parse_structure_file(group.replace("id: 0", "id: zz"))
+    gg = emit_structure_file(group_pair_groupoid(cyclic_group(2))).splitlines()
+    for section in ("arrow_group_id", "object_group_id"):
+        line = next(i for i, text in enumerate(gg, start=1) if text.startswith(section))
+        text = "\n".join(f"{section}: zz" if i == line else text
+                         for i, text in enumerate(gg, start=1))
+        with pytest.raises(UnknownIdentifier, match=f"^line {line}: unknown identifier 'zz'"
+                                                    f" in {section}$"):
+            parse_structure_file(text)
+
+
 def test_a_bar_outside_a_pair_token_is_not_an_identifier():
     def named(tok):
         return MINIMAL.replace("u=u", f"{tok}={tok}").replace("u.u", f"{tok}.{tok}").replace(

@@ -404,9 +404,8 @@ def test_derived_identity_messages(base, where, field, key, value, rule, count, 
 def test_every_kernel_member_is_a_sum_of_the_kernel_generating_set(gg):
     view, table = core._integer_view(gg.base), grouptable._rows(gg.arrow_group)
     e0 = grouptable._rows(gg.object_group).identity
-    one = [0] * len(table.rows)
     for kernel in (view.starts[e0], [z for z, d in enumerate(view.tgt) if d == e0]):
-        generators = grouptable._generating_set(table.rows, one, one, kernel, {table.identity})
+        generators = grouptable._table_generators(table, kernel)
         assert set(generators) <= set(kernel) <= sums(table.rows, generators)
 
 
