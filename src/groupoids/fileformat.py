@@ -13,18 +13,33 @@ whose maps refer to the two endpoint files named by ``from:`` and ``to:``.
 Each of those takes the rest of its line as a path, which must be non-empty
 and hold no '#'; the emitter refuses a path that would not read back.
 
-Parsing is strict and every error carries its 1-based line number.  Emitting
-is canonical (sorted entries, fixed wrapping), so parse(emit(s)) == s.
+Parsing is strict and every error carries its 1-based line number.  Lines
+break at '\\n', '\\r\\n' and '\\r' only, as open() reads a file; a form feed,
+'\\x85' or '\\u2028' is whitespace inside its line.  Emitting is canonical
+(sorted entries, fixed wrapping), so parse(emit(s)) == s.
+
+A map or table section over declared sets (all but a morphism's f and f0)
+is accepted in bulk: a few C-level passes over the text of each run of its
+lines check the shape of every entry and that every part is declared, build
+the dict, and a count shows that no key repeats.  Only a section the bulk
+pass refuses meets the per-entry loop, which accepts exactly what the bulk
+pass does and so only names the line of the first error.  Once every section
+has parsed, whether each map is total is a count: the structure is built
+without its constructor's walk, which runs only when a count fails, to name
+what is missing.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Mapping
 
 from .core import FiniteGroupoid, Morphism
-from .grouptable import GroupTable, closure_report, is_identifier
+from .grouptable import GroupTable, _unchecked, closure_report, is_identifier
 from .overlay import GroupGroupoid
 from .report import GroupoidError, InvalidInput
 
@@ -112,15 +127,27 @@ def _check_identifier(tok: str, line: int) -> str:
 
 
 def _scan(text: str):
-    """Yield (line, section, payload) with comments and blanks stripped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    """Yield (line, section, payload) with comments and blanks stripped.
+
+    Lines break at '\\n', '\\r\\n' and '\\r' only, as open() reads a file; the
+    other breaks of str.splitlines() (form feed, '\\x85', '\\u2028', ...) are
+    whitespace inside a line, so every error names the line an editor shows.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    bodies = map(str.strip, map(itemgetter(0), map(str.partition, text.split("\n"), repeat("#"))))
+    for lineno, line in enumerate(bodies, start=1):
         if not line:
             continue
-        if ":" not in line:
+        name, colon, payload = line.partition(":")
+        if not colon:
             raise StructureSyntaxError("expected 'section: entries'", lineno)
-        name, _, payload = line.partition(":")
         yield lineno, name.strip(), payload.strip()
+
+
+def _entries(lines):
+    """The (line, token) entries of a section's (line, payload) lines, one at a time."""
+    return ((lineno, tok) for lineno, payload in lines for tok in payload.split())
 
 
 def _declarations(entries, what: str) -> list[str]:
@@ -173,6 +200,80 @@ def _pair_mapping(entries, domain: set[str], what: str) -> dict[tuple[str, str],
     return out
 
 
+# lines a bulk pass takes at once, 4,096 to 6,144 emitted entries, so that its
+# text and part lists stay small beside the dict it builds
+_SLICE = 1024
+
+# entries joined by single spaces, each key=value or x.y=z with every part
+# non-empty and free of ' ', '.' and '=': each entry ends at the next separator,
+# so the match is one pass over the text, and a failed one backtracks linearly
+_PART = "[^ .=]+"
+_MAP_ENTRY = f"{_PART}={_PART}"
+_PAIR_ENTRY = f"{_PART}\\.{_PART}={_PART}"
+_MAP_ENTRIES = re.compile(f"(?:{_MAP_ENTRY}(?: {_MAP_ENTRY})*)?")
+_PAIR_ENTRIES = re.compile(f"(?:{_PAIR_ENTRY}(?: {_PAIR_ENTRY})*)?")
+
+
+def _slices(lines):
+    """The entries of each run of up to _SLICE lines of a section, joined by single
+    spaces."""
+    for start in range(0, len(lines), _SLICE):
+        yield " ".join(" ".join([payload for _, payload in lines[start : start + _SLICE]]).split())
+
+
+def _bulk_mapping(lines, keys: set[str], values: set[str]) -> dict[str, str] | None:
+    """_mapping's dict for declared keys and values, or None where it would raise.
+
+    Declared identifiers hold no whitespace, '.' or '=', so the loop accepts an
+    entry exactly when it has _MAP_ENTRIES's shape, its key is a declared key
+    and its value a declared value, and no earlier entry has its key.  The
+    shape makes the parts alternate key and value, and as many keys as entries
+    means none repeats: every check of the loop, made by C-level passes.
+    """
+    out: dict[str, str] = {}
+    count = 0
+    for text in _slices(lines):
+        if not _MAP_ENTRIES.fullmatch(text):
+            return None
+        parts = text.replace("=", " ").split()
+        ks, vs = parts[0::2], parts[1::2]
+        if not (keys.issuperset(ks) and values.issuperset(vs)):
+            return None
+        out.update(zip(ks, vs))
+        count += len(ks)
+    return out if len(out) == count else None
+
+
+def _bulk_pairs(lines, domain: set[str]) -> dict[tuple[str, str], str] | None:
+    """_pair_mapping's dict, or None where it would raise: as _bulk_mapping, with
+    _PAIR_ENTRIES's shape and the parts running x, y, z."""
+    out: dict[tuple[str, str], str] = {}
+    count = 0
+    for text in _slices(lines):
+        if not _PAIR_ENTRIES.fullmatch(text):
+            return None
+        parts = text.replace(".", " ").replace("=", " ").split()
+        if not domain.issuperset(parts):
+            return None
+        zs = parts[2::3]
+        out.update(zip(zip(parts[0::3], parts[1::3]), zs))
+        count += len(zs)
+    return out if len(out) == count else None
+
+
+def _map_section(lines, keys: set[str], values: set[str], what: str) -> dict[str, str]:
+    """A key=value section accepted in bulk; only a refused one meets the per-entry
+    loop, which raises at the line of its first defect."""
+    out = _bulk_mapping(lines, keys, values)
+    return out if out is not None else _mapping(_entries(lines), keys, values, what)
+
+
+def _pair_section(lines, domain: set[str], what: str) -> dict[tuple[str, str], str]:
+    """An x.y=z section accepted in bulk, as _map_section."""
+    out = _bulk_pairs(lines, domain)
+    return out if out is not None else _pair_mapping(_entries(lines), domain, what)
+
+
 def _single(entries, kind_line: int, what: str) -> tuple[int, str]:
     """The one (line, entry) of a single-valued section."""
     if not entries:
@@ -184,8 +285,24 @@ def _single(entries, kind_line: int, what: str) -> tuple[int, str]:
     return entries[0]
 
 
+def _built(cls, total: bool, **values):
+    """cls of values, unchecked when the counts prove it well formed; otherwise by
+    its constructor, whose check names what is missing."""
+    return _unchecked(cls, **values) if total else cls(**values)
+
+
 def parse_structure_file(text: str) -> StructureFile:
-    """Parse one structure file; raises a ParseError subclass on any defect."""
+    """Parse one structure file; raises a ParseError subclass on any defect.
+
+    Every section parses before any value is built, so a ParseError wins over a
+    shape error.  Once parsed, every declared token is an identifier, every key
+    and value of a map lies in its declared set, and no key repeats.  A map
+    whose n keys lie in a set K without repeats is total on K exactly when
+    n == |K|.  So the shape checks of FiniteGroupoid and GroupTable reduce to
+    counts: |src| == |tgt| == |inv| == |A| and |unit| == |O|; |op| == m**2 and
+    |inverse| == m.  When the counts hold the value is built unchecked; when
+    one fails, the checked constructor raises its own message.
+    """
     kind: str | None = None
     kind_line = 1
     sections: dict[str, list[tuple[int, str]]] = {}
@@ -202,63 +319,72 @@ def parse_structure_file(text: str) -> StructureFile:
             raise StructureSyntaxError("the first declaration must be 'kind:'", lineno)
         if name not in SECTIONS[kind]:
             raise StructureSyntaxError(f"unknown section '{name}' for kind {kind}", lineno)
-        bucket = sections.setdefault(name, [])
-        if name in _PATH_SECTIONS:
-            if not payload:
-                raise StructureSyntaxError(f"section '{name}' needs a path", lineno)
-            bucket.append((lineno, payload))
-        else:
-            bucket.extend((lineno, tok) for tok in payload.split())
+        if name in _PATH_SECTIONS and not payload:
+            raise StructureSyntaxError(f"section '{name}' needs a path", lineno)
+        sections.setdefault(name, []).append((lineno, payload))
     if kind is None:
         raise StructureSyntaxError("missing 'kind:' declaration", 1)
 
-    def need(name: str) -> list[tuple[int, str]]:
-        entries = sections.get(name, [])
-        if not entries and name in ("objects", "arrows", "elements"):
+    def lines(name: str) -> list[tuple[int, str]]:
+        return sections.get(name, [])
+
+    def declared(name: str, what: str) -> set[str]:
+        tokens = _declarations(_entries(lines(name)), what)
+        if not tokens:
             raise StructureSyntaxError(f"section '{name}' is missing or empty", kind_line)
-        return entries
+        return set(tokens)
 
     # parse every section before constructing: a ParseError beats a shape error
     def table_fields(prefix: str, elements: set[str]) -> dict:
-        op = _pair_mapping(need(prefix + "op"), elements, prefix + "op")
-        line, identity = _single(sections.get(prefix + "id", []), kind_line, prefix + "id")
+        op = _pair_section(lines(prefix + "op"), elements, prefix + "op")
+        line, identity = _single(list(_entries(lines(prefix + "id"))), kind_line, prefix + "id")
         if _check_identifier(identity, line) not in elements:
             raise UnknownIdentifier(f"unknown identifier '{identity}' in {prefix}id", line)
         return dict(
             elements=frozenset(elements),
             op=op,
             identity=identity,
-            inverse=_mapping(need(prefix + "inv"), elements, elements, prefix + "inv"),
+            inverse=_map_section(lines(prefix + "inv"), elements, elements, prefix + "inv"),
         )
 
+    def table(fields: dict) -> GroupTable:
+        m = len(fields["elements"])
+        total = len(fields["op"]) == m * m and len(fields["inverse"]) == m
+        return _built(GroupTable, total, **fields)
+
+    def groupoid(fields: dict) -> FiniteGroupoid:
+        a = len(fields["arrows"])
+        total = (len(fields["src"]) == len(fields["tgt"]) == len(fields["inv"]) == a
+                 and len(fields["unit"]) == len(fields["objects"]))
+        return _built(FiniteGroupoid, total, **fields)
+
     if kind in ("groupoid", "group_groupoid"):
-        objects = set(_declarations(need("objects"), "object"))
-        arrows = set(_declarations(need("arrows"), "arrow"))
+        objects = declared("objects", "object")
+        arrows = declared("arrows", "arrow")
         base = dict(
             objects=frozenset(objects),
             arrows=frozenset(arrows),
-            src=_mapping(need("source"), arrows, objects, "source"),
-            tgt=_mapping(need("target"), arrows, objects, "target"),
-            unit=_mapping(need("unit"), objects, arrows, "unit"),
-            inv=_mapping(need("inverse"), arrows, arrows, "inverse"),
-            prod=_pair_mapping(need("product"), arrows, "product"),
+            src=_map_section(lines("source"), arrows, objects, "source"),
+            tgt=_map_section(lines("target"), arrows, objects, "target"),
+            unit=_map_section(lines("unit"), objects, arrows, "unit"),
+            inv=_map_section(lines("inverse"), arrows, arrows, "inverse"),
+            prod=_pair_section(lines("product"), arrows, "product"),
         )
         if kind == "groupoid":
-            return StructureFile(kind, FiniteGroupoid(**base))
+            return StructureFile(kind, groupoid(base))
         tables = (table_fields("arrow_group_", arrows), table_fields("object_group_", objects))
-        gg = GroupGroupoid(FiniteGroupoid(**base), *(GroupTable(**t) for t in tables))
-        return StructureFile(kind, gg)
+        return StructureFile(kind, GroupGroupoid(groupoid(base), *map(table, tables)))
 
     if kind == "group":
-        elements = set(_declarations(need("elements"), "element"))
-        return StructureFile(kind, GroupTable(**table_fields("", elements)))
+        elements = declared("elements", "element")
+        return StructureFile(kind, table(table_fields("", elements)))
 
     # morphism: map entries cannot be resolved until the endpoints are loaded
     spec = MorphismSpec(
-        from_path=_single(sections.get("from", []), kind_line, "from")[1],
-        to_path=_single(sections.get("to", []), kind_line, "to")[1],
-        f=_mapping(sections.get("f", []), None, None, "f"),
-        f0=_mapping(sections.get("f0", []), None, None, "f0"),
+        from_path=_single(lines("from"), kind_line, "from")[1],
+        to_path=_single(lines("to"), kind_line, "to")[1],
+        f=_mapping(_entries(lines("f")), None, None, "f"),
+        f0=_mapping(_entries(lines("f0")), None, None, "f0"),
     )
     return StructureFile(kind, spec)
 

@@ -1,8 +1,15 @@
+import random
+import re
+from dataclasses import fields
+from unittest import mock
+
 import pytest
 
 from groupoids import (
     DuplicateDeclaration,
     FiniteGroupoid,
+    GroupGroupoid,
+    GroupoidError,
     GroupTable,
     InvalidInput,
     MalformedStructure,
@@ -12,16 +19,21 @@ from groupoids import (
     StructureSyntaxError,
     UnknownIdentifier,
     cyclic_group,
+    direct_product_group_groupoids,
+    direct_product_groups,
     emit_structure_file,
     group_pair_groupoid,
     load_morphism,
     load_structure_file,
+    null_group_groupoid,
     null_groupoid,
     pair_groupoid,
     parse_structure_file,
+    single_unit_group_groupoid,
     symmetric_group,
     validate_groupoid,
 )
+from groupoids import fileformat
 from groupoids.cli import run_command
 
 MINIMAL = """\
@@ -161,6 +173,23 @@ def test_a_bar_outside_a_pair_token_is_not_an_identifier():
     assert parse_structure_file(named("(a|b)")).structure.arrows == {"(a|b)"}
 
 
+@pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_lines_break_only_where_open_breaks_them(char):
+    # str.splitlines() also breaks at these characters; open() does not, so an
+    # error after one must name the line an editor shows
+    lines = emit_structure_file(cyclic_group(3)).splitlines()
+    assert lines[3] == "op: 1.1=2 1.2=0 2.0=2 2.1=0"
+    lines[3] = lines[3].replace("1.1=2", "1.1=zz")
+    lines.insert(1, f"# see page 2{char}")
+    for newline in ("\n", "\r\n", "\r"):
+        with pytest.raises(UnknownIdentifier, match="^line 5: unknown identifier 'zz' in op$"):
+            parse_structure_file(newline.join(lines) + newline)
+    # inside a line the character is whitespace, as str.split() takes it
+    text = emit_structure_file(cyclic_group(3))
+    spaced = text.replace("op: 1.1=2 1.2=0", f"op: 1.1=2{char}1.2=0{char}")
+    assert repr(parse_structure_file(spaced)) == repr(parse_structure_file(text))
+
+
 def test_a_parse_error_wins_over_a_shape_error():
     # source lacks an entry (a shape error) and arrow_group_op names an
     # undeclared token (a parse error, in a later section)
@@ -232,10 +261,177 @@ def test_emit_refuses_a_table_it_could_not_read_back():
         emit_structure_file(open_z3)
 
 
+def relabelled(gg: GroupGroupoid, seed: int) -> GroupGroupoid:
+    """An isomorphic copy with every token renamed by one seeded bijection,
+    built by the checked constructors."""
+    g = gg.base
+    toks = sorted(g.objects | g.arrows)
+    names = [f"t{i:04d}" for i in range(len(toks))]
+    random.Random(seed).shuffle(names)
+    r = dict(zip(toks, names))
+
+    def table(t: GroupTable) -> GroupTable:
+        return GroupTable(frozenset(r[x] for x in t.elements),
+                          {(r[x], r[y]): r[z] for (x, y), z in t.op.items()},
+                          r[t.identity], {r[x]: r[y] for x, y in t.inverse.items()})
+
+    base = FiniteGroupoid(
+        objects=frozenset(r[u] for u in g.objects), arrows=frozenset(r[x] for x in g.arrows),
+        src={r[x]: r[u] for x, u in g.src.items()}, tgt={r[x]: r[u] for x, u in g.tgt.items()},
+        unit={r[u]: r[x] for u, x in g.unit.items()}, inv={r[x]: r[y] for x, y in g.inv.items()},
+        prod={(r[x], r[y]): r[z] for (x, y), z in g.prod.items()},
+    )
+    return GroupGroupoid(base, table(gg.arrow_group), table(gg.object_group))
+
+
+def dense_loop_structures() -> list[GroupGroupoid]:
+    """The valid inputs of the benchmark's dense-loops workload: single-unit and
+    null group-groupoids and two direct products."""
+    z2 = cyclic_group(2)
+    z2_4 = direct_product_groups(direct_product_groups(z2, z2), direct_product_groups(z2, z2))
+    return [
+        single_unit_group_groupoid(cyclic_group(24)),
+        single_unit_group_groupoid(z2_4),
+        null_group_groupoid(symmetric_group(3)),
+        null_group_groupoid(symmetric_group(4)),
+        null_group_groupoid(cyclic_group(12)),
+        direct_product_group_groupoids(group_pair_groupoid(z2),
+                                       null_group_groupoid(symmetric_group(3)))[0],
+        direct_product_group_groupoids(single_unit_group_groupoid(cyclic_group(4)),
+                                       group_pair_groupoid(cyclic_group(3)))[0],
+    ]
+
+
+def loop_parse(text: str):
+    """parse_structure_file with every section left to its per-entry loop and
+    every value built by its checked constructor: the reference the bulk
+    passes and the unchecked builds must agree with."""
+    with mock.patch.multiple(fileformat, _bulk_pairs=lambda lines, domain: None,
+                             _bulk_mapping=lambda lines, keys, values: None,
+                             _built=lambda cls, total, **values: cls(**values)):
+        return parse_structure_file(text)
+
+
 def test_every_corpus_structure_reads_back_as_itself(corpus, s3_control, klein_control):
-    for gg in [*corpus.values(), s3_control, klein_control]:
+    # the parser builds unchecked what the constructors build checked: equal
+    # fields, the reference parse's repr (so its insertion orders), no view yet
+    dense = [relabelled(gg, seed) for seed, gg in enumerate(dense_loop_structures())]
+    for gg in [*corpus.values(), s3_control, klein_control, *dense]:
         for value in (gg, gg.base, gg.arrow_group, gg.object_group):
-            assert parse_structure_file(emit_structure_file(value)).structure == value
+            text = emit_structure_file(value)
+            parsed = parse_structure_file(text).structure
+            assert parsed == value
+            assert repr(parsed) == repr(loop_parse(text).structure)
+            parts = [(parsed, value)]
+            if isinstance(value, GroupGroupoid):
+                parts = [(parsed.base, value.base), (parsed.arrow_group, value.arrow_group),
+                         (parsed.object_group, value.object_group)]
+            for part, made in parts:
+                assert all(getattr(part, f.name) == getattr(made, f.name) for f in fields(made))
+                assert part._view is None
+
+
+def corpus_bases() -> list[str]:
+    """Emitted files of all four kinds, small enough to corrupt by the thousand."""
+    g = pair_groupoid(["a", "b"])
+    morphism = Morphism(g, g, {x: x for x in g.arrows}, {u: u for u in g.objects})
+    return [
+        emit_structure_file(cyclic_group(3)),
+        emit_structure_file(g),
+        emit_structure_file(group_pair_groupoid(cyclic_group(2))),
+        emit_structure_file(morphism, from_path="g.gpd", to_path="g.gpd"),
+    ]
+
+
+def single_character_edit(text: str, rng: random.Random) -> str:
+    i = rng.randrange(len(text) + 1)
+    char = rng.choice(".=.=#: \n\t\f\u2028()|0123abz")
+    how = rng.choice(("delete", "insert", "replace"))
+    if how == "insert":
+        return text[:i] + char + text[i:]
+    return text[:i] + (char if how == "replace" else "") + text[i + 1:]
+
+
+def entry_edit(text: str, rng: random.Random) -> str:
+    """One token-level edit of an entry of a map or table section."""
+    lines = text.split("\n")
+    i = rng.choice([i for i, line in enumerate(lines) if "=" in line])
+    name, _, payload = lines[i].partition(": ")
+    toks = payload.split()
+    j = rng.randrange(len(toks))
+    tok = toks[j]
+    parts = re.split("[.=]", tok)
+    how = rng.choice(("swap", "shift", "undeclared", "repeat", "rekey", "delete"))
+    if how == "swap":  # x.y=z as x=y.z, key=value as key.value
+        toks[j] = f"{parts[0]}={parts[1]}.{parts[2]}" if len(parts) == 3 else ".".join(parts)
+    elif how == "shift" and len(toks) > 1:  # a.b=c d.e=f as a.b.c d=e=f
+        j = min(j, len(toks) - 2)
+        toks[j : j + 2] = [".".join(toks[j].rsplit("=", 1)), "=".join(toks[j + 1].split(".", 1))]
+    elif how == "undeclared":
+        parts[rng.randrange(len(parts))] = "zz"
+        toks[j] = f"{parts[0]}.{parts[1]}={parts[2]}" if len(parts) == 3 else "=".join(parts)
+    elif how == "repeat":
+        toks.insert(rng.randrange(len(toks) + 1), tok)
+    elif how == "rekey":  # the same key with another value
+        toks.append(tok.rsplit("=", 1)[0] + "=" + rng.choice(parts))
+    else:
+        del toks[j]
+    lines[i] = f"{name}: " + " ".join(toks)
+    return "\n".join(lines)
+
+
+def outcome(parse, text: str):
+    try:
+        sf = parse(text)
+    except GroupoidError as exc:
+        return type(exc), str(exc)
+    return sf.kind, repr(sf.structure)
+
+
+@pytest.mark.parametrize("slice_lines", [fileformat._SLICE, 1])
+def test_the_bulk_passes_agree_with_the_per_entry_loops(slice_lines):
+    # a seeded corpus of corrupted files: the parse gives the loops' exception
+    # and message or a structure of the same repr, and a section the bulk pass
+    # refuses is one the loop refuses too
+    rng = random.Random(slice_lines)
+    inputs = [edit(base, rng) for base in corpus_bases()
+              for edit in [single_character_edit] * 1000 + [entry_edit] * 300]
+    returned = []
+
+    def recording(loop):
+        def run(entries, *sets_and_what):
+            out = loop(entries, *sets_and_what)
+            if sets_and_what[0] is not None:  # not a morphism's f or f0
+                returned.append(sets_and_what[-1])
+            return out
+        return run
+
+    outcomes = set()
+    with mock.patch.object(fileformat, "_SLICE", slice_lines):
+        for text in inputs:
+            want = outcome(loop_parse, text)
+            with mock.patch.multiple(fileformat, _mapping=recording(fileformat._mapping),
+                                     _pair_mapping=recording(fileformat._pair_mapping)):
+                assert outcome(parse_structure_file, text) == want, text
+            outcomes.add(want[0])
+    assert returned == []
+    assert {StructureSyntaxError, UnknownIdentifier, DuplicateDeclaration, MalformedTable,
+            MalformedStructure, "group", "groupoid", "group_groupoid", "morphism"} <= outcomes
+
+
+@pytest.mark.parametrize("section, entry, error, message", [
+    ("op", "2.2=1", MalformedTable, "op must be keyed by exactly all ordered element pairs"),
+    ("inv", "2=1", MalformedTable, "inverse must be keyed by exactly the elements"),
+    ("unit", "1=(1|1)", MalformedStructure, "unit must be total on the object set"),
+])
+def test_a_file_complete_but_for_one_entry_names_the_gap(section, entry, error, message):
+    value = cyclic_group(3) if section in ("op", "inv") else group_pair_groupoid(cyclic_group(3))
+    lines = emit_structure_file(value).splitlines()
+    i = next(i for i, line in enumerate(lines)
+             if line.startswith(f"{section}:") and f" {entry}" in f" {line} ")
+    lines[i] = re.sub(f" {re.escape(entry)}(?= |$)", "", lines[i])
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        parse_structure_file("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize(
