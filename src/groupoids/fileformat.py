@@ -23,7 +23,9 @@ is accepted in bulk: a few C-level passes over the text of each run of its
 lines check the shape of every entry and that every part is declared, build
 the dict, and a count shows that no key repeats.  Only a section the bulk
 pass refuses meets the per-entry loop, which accepts exactly what the bulk
-pass does and so only names the line of the first error.  Once every section
+pass does and so only names the line of the first error; it starts at the
+refused run, from the dict of the runs before it, where their key count shows
+that none of their keys repeats.  Once every section
 has parsed, whether each map is total is a count: the structure is built
 without its constructor's walk, which runs only when a count fails, to name
 what is missing.
@@ -163,10 +165,12 @@ def _declarations(entries, what: str) -> list[str]:
 
 
 def _mapping(
-    entries, keys: set[str] | None, values: set[str] | None, what: str
+    entries, keys: set[str] | None, values: set[str] | None, what: str,
+    out: dict[str, str] | None = None,
 ) -> dict[str, str]:
-    """Parse key=value entries; a side without a declared set takes any identifier."""
-    out: dict[str, str] = {}
+    """Parse key=value entries into out, the dict of the entries before them; a
+    side without a declared set takes any identifier."""
+    out = {} if out is None else out
     for lineno, tok in entries:
         if tok.count("=") != 1:
             raise StructureSyntaxError(f"expected 'key=value' in {what}, got {tok!r}", lineno)
@@ -182,8 +186,11 @@ def _mapping(
     return out
 
 
-def _pair_mapping(entries, domain: set[str], what: str) -> dict[tuple[str, str], str]:
-    out: dict[tuple[str, str], str] = {}
+def _pair_mapping(
+    entries, domain: set[str], what: str, out: dict[tuple[str, str], str] | None = None
+) -> dict[tuple[str, str], str]:
+    """Parse x.y=z entries into out, as _mapping."""
+    out = {} if out is None else out
     for lineno, tok in entries:
         if tok.count("=") != 1:
             raise StructureSyntaxError(f"expected 'x.y=z' in {what}, got {tok!r}", lineno)
@@ -215,63 +222,74 @@ _PAIR_ENTRIES = re.compile(f"(?:{_PAIR_ENTRY}(?: {_PAIR_ENTRY})*)?")
 
 
 def _slices(lines):
-    """The entries of each run of up to _SLICE lines of a section, joined by single
-    spaces."""
+    """(start, text) for each run of up to _SLICE lines of a section from line
+    index start, its entries joined by single spaces."""
     for start in range(0, len(lines), _SLICE):
-        yield " ".join(" ".join([payload for _, payload in lines[start : start + _SLICE]]).split())
+        chunk = " ".join([payload for _, payload in lines[start : start + _SLICE]])
+        yield start, " ".join(chunk.split())
 
 
-def _bulk_mapping(lines, keys: set[str], values: set[str]) -> dict[str, str] | None:
-    """_mapping's dict for declared keys and values, or None where it would raise.
+def _accepted(out: dict, count: int, done: int) -> tuple[dict, int]:
+    """(out, done) where out holds as many keys as the count of entries in the
+    first done lines, so that no key repeats in them; ({}, 0) otherwise."""
+    return (out, done) if len(out) == count else ({}, 0)
+
+
+def _bulk_mapping(lines, keys: set[str], values: set[str]) -> tuple[dict[str, str], int]:
+    """_mapping's dict for declared keys and values and the number of lines it
+    covers, all of them exactly where _mapping would accept the section.
 
     Declared identifiers hold no whitespace, '.' or '=', so the loop accepts an
     entry exactly when it has _MAP_ENTRIES's shape, its key is a declared key
     and its value a declared value, and no earlier entry has its key.  The
     shape makes the parts alternate key and value, and as many keys as entries
-    means none repeats: every check of the loop, made by C-level passes.
+    means none repeats: every check of the loop, made by C-level passes.  So
+    the loop accepts the runs before a refused one, and gives the dict of
+    them, when their count shows no repeat.
     """
     out: dict[str, str] = {}
     count = 0
-    for text in _slices(lines):
+    for start, text in _slices(lines):
         if not _MAP_ENTRIES.fullmatch(text):
-            return None
+            return _accepted(out, count, start)
         parts = text.replace("=", " ").split()
         ks, vs = parts[0::2], parts[1::2]
         if not (keys.issuperset(ks) and values.issuperset(vs)):
-            return None
+            return _accepted(out, count, start)
         out.update(zip(ks, vs))
         count += len(ks)
-    return out if len(out) == count else None
+    return _accepted(out, count, len(lines))
 
 
-def _bulk_pairs(lines, domain: set[str]) -> dict[tuple[str, str], str] | None:
-    """_pair_mapping's dict, or None where it would raise: as _bulk_mapping, with
+def _bulk_pairs(lines, domain: set[str]) -> tuple[dict[tuple[str, str], str], int]:
+    """_pair_mapping's dict and the lines it covers: as _bulk_mapping, with
     _PAIR_ENTRIES's shape and the parts running x, y, z."""
     out: dict[tuple[str, str], str] = {}
     count = 0
-    for text in _slices(lines):
+    for start, text in _slices(lines):
         if not _PAIR_ENTRIES.fullmatch(text):
-            return None
+            return _accepted(out, count, start)
         parts = text.replace(".", " ").replace("=", " ").split()
         if not domain.issuperset(parts):
-            return None
+            return _accepted(out, count, start)
         zs = parts[2::3]
         out.update(zip(zip(parts[0::3], parts[1::3]), zs))
         count += len(zs)
-    return out if len(out) == count else None
+    return _accepted(out, count, len(lines))
 
 
 def _map_section(lines, keys: set[str], values: set[str], what: str) -> dict[str, str]:
     """A key=value section accepted in bulk; only a refused one meets the per-entry
-    loop, which raises at the line of its first defect."""
-    out = _bulk_mapping(lines, keys, values)
-    return out if out is not None else _mapping(_entries(lines), keys, values, what)
+    loop, from the lines the bulk pass could not take, which raises at the line
+    of its first defect."""
+    out, done = _bulk_mapping(lines, keys, values)
+    return out if done == len(lines) else _mapping(_entries(lines[done:]), keys, values, what, out)
 
 
 def _pair_section(lines, domain: set[str], what: str) -> dict[tuple[str, str], str]:
     """An x.y=z section accepted in bulk, as _map_section."""
-    out = _bulk_pairs(lines, domain)
-    return out if out is not None else _pair_mapping(_entries(lines), domain, what)
+    out, done = _bulk_pairs(lines, domain)
+    return out if done == len(lines) else _pair_mapping(_entries(lines[done:]), domain, what, out)
 
 
 def _single(entries, kind_line: int, what: str) -> tuple[int, str]:
@@ -453,8 +471,9 @@ def emit_structure_file(
             if bad:
                 raise InvalidInput(f"identifier {bad[0]!r} cannot be written to a structure file")
         for path in (from_path, to_path):
-            # the parser strips comments and surrounding whitespace and reads one line
-            if "#" in path or path != path.strip() or len(path.splitlines()) != 1:
+            # the parser strips comments and surrounding whitespace, and only
+            # '\n' and '\r' end its line
+            if not path or path != path.strip() or any(c in path for c in "#\n\r"):
                 raise InvalidInput(f"path {path!r} cannot be written to a morphism file")
         lines = ["kind: morphism", f"from: {from_path}", f"to: {to_path}"]
         lines += _emit_map("f", structure.f)

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from groupoids import (
     EmptySet,
     GroupTable,
-    InternalCheckFailed,
     InvalidGroup,
     InvalidInput,
     MalformedStructure,
@@ -21,6 +21,7 @@ from groupoids import (
     group_pair_groupoid,
     is_transitive,
     isotropy_group,
+    noncommuting_pair,
     null_group_groupoid,
     null_groupoid,
     pair_groupoid,
@@ -148,6 +149,8 @@ def test_constructors_reject_broken_tables(monkeypatch):
 
 
 def test_constructors_check_their_output_in_def32_only(monkeypatch):
+    # a constructor runs no checker on what it built, in either definition:
+    # only a product validates its two input factors
     def refuse(gg):
         raise AssertionError("a constructor ran def31")
 
@@ -167,15 +170,19 @@ def test_constructors_check_their_output_in_def32_only(monkeypatch):
         build()
         return len(calls)
 
-    assert checks(lambda: null_group_groupoid(z2)) == 1
-    assert checks(lambda: single_unit_group_groupoid(cyclic_group(4))) == 1
-    assert checks(lambda: group_pair_groupoid(z2)) == 1
+    assert checks(lambda: null_groupoid(["u", "v"])) == 0
+    assert checks(lambda: pair_groupoid(["u", "v"])) == 0
+    assert checks(lambda: group_as_single_unit_groupoid(z2)) == 0
+    assert checks(lambda: null_group_groupoid(z2)) == 0
+    assert checks(lambda: single_unit_group_groupoid(cyclic_group(4))) == 0
+    assert checks(lambda: group_pair_groupoid(z2)) == 0
     pair = group_pair_groupoid(z2)
-    direct_product_group_groupoids(pair, null_group_groupoid(z2))
-    assert checks(lambda: anchor_morphism(pair)) == 1
+    assert checks(lambda: direct_product_groupoids(pair.base, pair.base)) == 2
+    assert checks(lambda: direct_product_group_groupoids(pair, null_group_groupoid(z2))) == 2
+    assert checks(lambda: anchor_morphism(pair)) == 0
 
 
-def test_constructors_check_their_input_table_up_front_and_in_the_output_check(monkeypatch):
+def test_constructors_check_their_input_table_once_up_front(monkeypatch):
     calls = []
 
     def counted(table):
@@ -191,14 +198,16 @@ def test_constructors_check_their_input_table_up_front_and_in_the_output_check(m
         build(z4)
         return len(calls)
 
-    # each build checks its input up front, then def32's structural report
-    # checks the arrow and the object group of what it built
-    assert checks(null_group_groupoid) == 3
-    assert checks(group_pair_groupoid) == 3
-    assert checks(single_unit_group_groupoid) == 3
+    # the gate is the only check: nothing validates the groups of what was built
+    assert checks(null_group_groupoid) == 1
+    assert checks(group_pair_groupoid) == 1
+    assert checks(single_unit_group_groupoid) == 1
+    assert checks(group_as_single_unit_groupoid) == 1
 
 
 def test_constructor_rejects_its_own_invalid_output(monkeypatch):
+    # a constructor returns what its builder made, so a damaged builder shows
+    # in the check of the output, not in the constructor
     def damaged(a, b):
         table = direct_product_groups(a, b)
         key = sorted(table.op)[-1]
@@ -207,8 +216,8 @@ def test_constructor_rejects_its_own_invalid_output(monkeypatch):
                           table.inverse)
 
     monkeypatch.setattr("groupoids.construct.direct_product_groups", damaged)
-    with pytest.raises(InternalCheckFailed):
-        group_pair_groupoid(cyclic_group(3))
+    gg = group_pair_groupoid(cyclic_group(3))
+    assert not check_group_groupoid(gg, mode="both").valid
 
 
 def four_loop_product(a: GroupTable, b: GroupTable) -> GroupTable:
@@ -252,3 +261,57 @@ def test_the_group_product_refuses_a_factor_that_is_not_closed():
     for a, b in ((open_z3, z3), (z3, open_z3)):
         with pytest.raises(InvalidInput, match="closure at 0,2,zz"):
             direct_product_groups(a, b)
+
+
+@pytest.fixture(scope="module")
+def family():
+    """Every public constructor's output over small groups and object sets:
+    (groupoids, group-groupoids), each named by how it was built.  The product
+    groups are the four-loop reference's, so a fault in direct_product_groups
+    shows in the outputs, not in the inputs."""
+    z2 = cyclic_group(2)
+    groups = {"1": trivial_group(), **{f"Z{n}": cyclic_group(n) for n in range(1, 9)},
+              "S3": symmetric_group(3), "Z2xZ2": klein(),
+              "Z2xZ4": four_loop_product(z2, cyclic_group(4)),
+              "Z2xS3": four_loop_product(z2, symmetric_group(3))}
+    groupoids = {f"single({n})": group_as_single_unit_groupoid(t) for n, t in groups.items()}
+    for n in (1, 2, 3, 5):
+        objects = [f"o{i}" for i in range(n)]
+        groupoids[f"null({n})"] = null_groupoid(objects)
+        groupoids[f"pair({n})"] = pair_groupoid(objects)
+    ggs = {}
+    for name, t in groups.items():
+        ggs[f"null({name})"] = null_group_groupoid(t)
+        ggs[f"group_pair({name})"] = group_pair_groupoid(t)
+        if noncommuting_pair(t) is None:
+            ggs[f"single_unit({name})"] = single_unit_group_groupoid(t)
+    return groupoids, ggs
+
+
+def test_every_constructor_output_is_valid_in_both_definitions(family):
+    groupoids, ggs = family
+    assert len(groupoids) == 21 and len(ggs) == 37
+    for name, g in groupoids.items():
+        assert validate_groupoid(g).valid, name
+    for name, gg in ggs.items():
+        assert validate_groupoid(gg.base).valid, name
+        assert check_group_groupoid(gg, mode="both").valid, name
+
+
+def test_every_small_product_and_its_projections_are_valid(family):
+    # every ordered pair of outputs whose product has at most 16 arrows
+    groupoids, ggs = family
+    built = 0
+    for (m, g), (n, k) in itertools.product(groupoids.items(), repeat=2):
+        if len(g.arrows) * len(k.arrows) <= 16:
+            assert validate_groupoid(direct_product_groupoids(g, k)).valid, (m, n)
+            built += 1
+    for (m, a), (n, b) in itertools.product(ggs.items(), repeat=2):
+        if len(a.base.arrows) * len(b.base.arrows) <= 16:
+            gg, left, right = direct_product_group_groupoids(a, b)
+            assert validate_groupoid(gg.base).valid, (m, n)
+            assert check_group_groupoid(gg, mode="both").valid, (m, n)
+            assert validate_gg_morphism(left, gg, a).valid, (m, n)
+            assert validate_gg_morphism(right, gg, b).valid, (m, n)
+            built += 1
+    assert built == 229 + 457

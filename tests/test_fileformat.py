@@ -306,8 +306,8 @@ def loop_parse(text: str):
     """parse_structure_file with every section left to its per-entry loop and
     every value built by its checked constructor: the reference the bulk
     passes and the unchecked builds must agree with."""
-    with mock.patch.multiple(fileformat, _bulk_pairs=lambda lines, domain: None,
-                             _bulk_mapping=lambda lines, keys, values: None,
+    with mock.patch.multiple(fileformat, _bulk_pairs=lambda lines, domain: ({}, 0),
+                             _bulk_mapping=lambda lines, keys, values: ({}, 0),
                              _built=lambda cls, total, **values: cls(**values)):
         return parse_structure_file(text)
 
@@ -399,10 +399,10 @@ def test_the_bulk_passes_agree_with_the_per_entry_loops(slice_lines):
     returned = []
 
     def recording(loop):
-        def run(entries, *sets_and_what):
-            out = loop(entries, *sets_and_what)
-            if sets_and_what[0] is not None:  # not a morphism's f or f0
-                returned.append(sets_and_what[-1])
+        def run(entries, *sets_what_and_seed):
+            out = loop(entries, *sets_what_and_seed)
+            if sets_what_and_seed[0] is not None:  # not a morphism's f or f0
+                returned.append(sets_what_and_seed)
             return out
         return run
 
@@ -417,6 +417,39 @@ def test_the_bulk_passes_agree_with_the_per_entry_loops(slice_lines):
     assert returned == []
     assert {StructureSyntaxError, UnknownIdentifier, DuplicateDeclaration, MalformedTable,
             MalformedStructure, "group", "groupoid", "group_groupoid", "morphism"} <= outcomes
+
+
+def test_the_loop_resumes_at_the_refused_run_when_no_key_repeats_before_it():
+    # group-pair Z_3 has 21 arrow_group_op lines, six runs of 4: an undeclared
+    # value in the last line leaves the loop one line to read, while a repeat
+    # in the first run sends it back to the section's first line
+    lines = emit_structure_file(group_pair_groupoid(cyclic_group(3))).split("\n")
+    section = [i for i, line in enumerate(lines) if line.startswith("arrow_group_op:")]
+    assert len(section) == 21
+    last = lines[:]
+    last[section[-1]] = re.sub("=[^=]*$", "=zz", lines[section[-1]])
+    repeated = last[:]
+    repeated[section[1]] += " " + lines[section[0]].split()[1]
+    read = []
+    loop = fileformat._pair_mapping
+
+    def counting(entries, *args):
+        def seen():
+            for lineno, tok in entries:
+                read.append(lineno)
+                yield lineno, tok
+        return loop(seen(), *args)
+
+    for edited, read_lines in ((last, [section[-1]]), (repeated, section[:2])):
+        text = "\n".join(edited)
+        read.clear()
+        with mock.patch.multiple(fileformat, _SLICE=4, _pair_mapping=counting):
+            got = outcome(parse_structure_file, text)
+        assert got == outcome(loop_parse, text)
+        assert sorted(set(read)) == [i + 1 for i in read_lines]
+    assert got[1] == f"line {section[1] + 1}: arrow_group_op entry for ((0|0),(0|0)) given twice"
+    assert outcome(parse_structure_file, "\n".join(last))[1] == (
+        f"line {section[-1] + 1}: unknown identifier 'zz' in arrow_group_op")
 
 
 @pytest.mark.parametrize("section, entry, error, message", [
@@ -436,7 +469,7 @@ def test_a_file_complete_but_for_one_entry_names_the_gap(section, entry, error, 
 
 @pytest.mark.parametrize(
     "path",
-    ["", "p.gpd # copy", "p#.gpd", "a\nb.gpd", "a\r\nb.gpd", "a\u2028b.gpd", " p.gpd",
+    ["", "p.gpd # copy", "p#.gpd", "a\nb.gpd", "a\r\nb.gpd", "a\rb.gpd", " p.gpd",
      "p.gpd ", "p.gpd\n"],
 )
 def test_emit_refuses_a_path_that_would_not_read_back(path):
@@ -453,16 +486,18 @@ def test_emit_refuses_a_path_that_would_not_read_back(path):
 
 
 def test_a_path_with_an_inner_space_reads_back(tmp_path):
+    # a space, or a break of str.splitlines() that open() keeps inside its line
     g = pair_groupoid(["a", "b"])
-    (tmp_path / "my g.gpd").write_text(emit_structure_file(g), encoding="utf-8")
     m = Morphism(g, g, {x: x for x in g.arrows}, {u: u for u in g.objects})
-    text = emit_structure_file(m, from_path="my g.gpd", to_path="my g.gpd")
-    spec = parse_structure_file(text).structure
-    assert (spec.from_path, spec.to_path) == ("my g.gpd", "my g.gpd")
-    assert emit_structure_file(spec) == text
-    (tmp_path / "m.gpd").write_text(text, encoding="utf-8")
-    loaded, src_sf, _ = load_morphism(str(tmp_path / "m.gpd"))
-    assert loaded.f == m.f and src_sf.structure == g
+    for path in ("my g.gpd", "a\u2028b.gpd", "a\fb.gpd", "a\x85b.gpd"):
+        (tmp_path / path).write_text(emit_structure_file(g), encoding="utf-8")
+        text = emit_structure_file(m, from_path=path, to_path=path)
+        spec = parse_structure_file(text).structure
+        assert (spec.from_path, spec.to_path) == (path, path)
+        assert emit_structure_file(spec) == text
+        (tmp_path / "m.gpd").write_text(text, encoding="utf-8")
+        loaded, src_sf, _ = load_morphism(str(tmp_path / "m.gpd"))
+        assert loaded.f == m.f and src_sf.structure == g
 
 
 def test_an_empty_path_is_a_syntax_error_at_its_line(tmp_path, capsys):
