@@ -485,19 +485,27 @@ def test_emit_refuses_a_path_that_would_not_read_back(path):
             emit_structure_file(structure, **paths)
 
 
-def test_a_path_with_an_inner_space_reads_back(tmp_path):
-    # a space, or a break of str.splitlines() that open() keeps inside its line
+def _assert_the_path_reads_back(tmp_path, path):
     g = pair_groupoid(["a", "b"])
     m = Morphism(g, g, {x: x for x in g.arrows}, {u: u for u in g.objects})
-    for path in ("my g.gpd", "a\u2028b.gpd", "a\fb.gpd", "a\x85b.gpd"):
-        (tmp_path / path).write_text(emit_structure_file(g), encoding="utf-8")
-        text = emit_structure_file(m, from_path=path, to_path=path)
-        spec = parse_structure_file(text).structure
-        assert (spec.from_path, spec.to_path) == (path, path)
-        assert emit_structure_file(spec) == text
-        (tmp_path / "m.gpd").write_text(text, encoding="utf-8")
-        loaded, src_sf, _ = load_morphism(str(tmp_path / "m.gpd"))
-        assert loaded.f == m.f and src_sf.structure == g
+    (tmp_path / path).write_text(emit_structure_file(g), encoding="utf-8")
+    text = emit_structure_file(m, from_path=path, to_path=path)
+    spec = parse_structure_file(text).structure
+    assert (spec.from_path, spec.to_path) == (path, path)
+    assert emit_structure_file(spec) == text
+    (tmp_path / "m.gpd").write_text(text, encoding="utf-8")
+    loaded, src_sf, _ = load_morphism(str(tmp_path / "m.gpd"))
+    assert loaded.f == m.f and src_sf.structure == g
+
+
+def test_a_path_with_an_inner_space_reads_back(tmp_path):
+    _assert_the_path_reads_back(tmp_path, "my g.gpd")
+
+
+@pytest.mark.parametrize("path", ["a\u2028b.gpd", "a\fb.gpd", "a\x85b.gpd"])
+def test_a_path_holding_a_splitlines_break_reads_back(tmp_path, path):
+    # a break of str.splitlines() that open() keeps inside its line
+    _assert_the_path_reads_back(tmp_path, path)
 
 
 def test_an_empty_path_is_a_syntax_error_at_its_line(tmp_path, capsys):
