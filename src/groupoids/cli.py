@@ -148,18 +148,20 @@ def _cmd_check(args) -> int:
     return _finish(check_group_groupoid(sf.structure, mode=args.mode), args.format)
 
 
-def _cmd_gated(args) -> int:
-    """Print args.checks[kind](structure) once the structure is valid, else its failing report.
+def _gate(sf: StructureFile) -> ValidationReport:
+    """validate_groupoid for a groupoid, check_group_groupoid in mode def32
+    for a group-groupoid."""
+    if sf.kind == "groupoid":
+        return validate_groupoid(sf.structure)
+    return check_group_groupoid(sf.structure, mode="def32")
 
-    Validity is validate_groupoid for a groupoid and check_group_groupoid in
-    mode def32 for a group-groupoid.
-    """
+
+def _cmd_gated(args) -> int:
+    """Print args.checks[kind](structure) once the structure passes _gate,
+    else its failing report."""
     sf = load_structure_file(args.file)
     _want(sf, *args.checks)
-    if sf.kind == "groupoid":
-        gate = validate_groupoid(sf.structure)
-    else:
-        gate = check_group_groupoid(sf.structure, mode="def32")
+    gate = _gate(sf)
     return _finish(args.checks[sf.kind](sf.structure) if gate.valid else gate, args.format)
 
 
@@ -226,6 +228,9 @@ def _cmd_isotropy(args) -> int:
     _want(sf, "groupoid", "group_groupoid")
     if args.bundle:
         _want(sf, "group_groupoid")
+        gate = _gate(sf)
+        if not gate.valid:
+            return _finish(gate, args.format)
         s = isotropy_bundle(sf.structure)
         if args.format == "machine":
             print(json.dumps(
@@ -257,9 +262,7 @@ def _anchor_report(gg: GroupGroupoid) -> ValidationReport:
 
 
 def _cmd_affine_verify(args) -> int:
-    if args.samples < 1:
-        raise InvalidInput("--samples must be at least 1")
-    return _finish(affine.aff_verify(args.samples, args.seed), args.format)
+    return _finish(affine.aff_verify(), args.format)
 
 
 def _fraction(text: str) -> Fraction:
@@ -277,7 +280,7 @@ def _cmd_affine_quad(args) -> int:
     if args.format == "machine":
         print(json.dumps(quad.to_dict(), indent=2, sort_keys=True))
         return 0
-    print(f"kind {quad.kind}: " + ("degenerate" if quad.degenerate else "parallelogram"))
+    print(f"kind {quad.kind}: " + ("parallelogram" if quad.is_parallelogram else "degenerate"))
     for label, point in zip(quad.labels, quad.points):
         print(f"  {label} = {point}")
     print(f"  diagonal midpoints: {quad.midpoint_13} and {quad.midpoint_24}")
@@ -363,9 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("affine", help="the affine-plane model over the rationals")
     affine_subs = p.add_subparsers(dest="affine_command", required=True)
 
-    q = affine_subs.add_parser("verify", help="sample the laws at random rational points")
-    q.add_argument("--samples", type=int, default=100)
-    q.add_argument("--seed", type=int, default=0)
+    q = affine_subs.add_parser("verify", help="decide every law at an affine basis")
+    # accepted and ignored: the decision has no samples and no seed
+    q.add_argument("--samples", type=int, help=argparse.SUPPRESS)
+    q.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     _add_format(q)
     q.set_defaults(handler=_cmd_affine_verify)
 

@@ -4,7 +4,8 @@ The compatibility between the two layers can be decided two independent ways:
 
 * mode ``def31``: ask whether addition G x G -> G, the identity element
   (from a one-point groupoid) and negation are groupoid morphisms.  The
-  identity and negation go through the generic morphism validator.  The
+  identity and negation go through the generic morphism validator, unless a
+  clean structure and a clean addition make them morphisms by theorem.  The
   instances of that validator on addition are read off G's own tables, so
   the doubled groupoid G x G is never built: the pointwise ones unless the
   homomorphism certificate accepts them first (they say that src, tgt, inv
@@ -350,17 +351,42 @@ def _addition_certificate(gg: GroupGroupoid) -> bool:
     )
 
 
+def _identity_and_negation_certificate(structure_valid: bool, addition_valid: bool) -> bool:
+    """True only if the identity and negation maps are groupoid morphisms:
+    given a clean structural report and a clean addition G x G -> G, they are.
+
+    Proof.  Addition's pointwise laws say that src, tgt, unit and inv are
+    additive, so they are group homomorphisms: src(e) = tgt(e) = e0,
+    unit(e0) = e, inv(e) = e, and each commutes with negation.  The first
+    three give every law of the identity map from the one-point groupoid:
+    M1, e.e = unit(e0).e = e for M2, unit and inverse compatibility.  The
+    last gives negation's M1, unit and inverse compatibility, and makes
+    (-x, -y) composable with every composable (x, y).  Then ((x|-x), (y|-y))
+    is a composable pair of G x G, and addition's M2 instance on it reads
+    (x.y) + ((-x).(-y)) = (x-x).(y-y) = e.e = e, so (-x).(-y) = -(x.y),
+    which is negation's M2.
+    """
+    return structure_valid and addition_valid
+
+
 def _morphism_based_report(gg: GroupGroupoid, structure_valid: bool) -> ValidationReport:
     """Addition, the identity and negation as groupoid morphisms.  Addition's
     pointwise instances are certified or enumerated (_addition_pointwise);
     on a valid structure with those clean, _addition_certificate may accept
-    its M2 instances, and otherwise _addition_products enumerates them."""
+    its M2 instances, and otherwise _addition_products enumerates them.
+    The identity and negation maps go through validate_morphism unless
+    _identity_and_negation_certificate accepts them."""
     g, point = gg.base, "*"
     rb = ReportBuilder()
     pointwise = _addition_pointwise(gg)
     rb.absorb(pointwise, prefix="add-map:")
+    addition_valid = pointwise.valid
     if not (structure_valid and pointwise.valid and _addition_certificate(gg)):
-        rb.absorb(_addition_products(gg), prefix="add-map:")
+        products = _addition_products(gg)
+        rb.absorb(products, prefix="add-map:")
+        addition_valid = addition_valid and products.valid
+    if _identity_and_negation_certificate(structure_valid, addition_valid):
+        return rb.build()
     identity = Morphism(_ONE_POINT, g, {point: gg.arrow_group.identity},
                         {point: gg.object_group.identity})
     negation = Morphism(g, g, dict(gg.arrow_group.inverse), dict(gg.object_group.inverse))

@@ -97,7 +97,13 @@ def check_group_subgroupoid(gg: GroupGroupoid, s: SubStructure) -> ValidationRep
 
 
 def isotropy_bundle(gg: GroupGroupoid) -> SubStructure:
-    """All loops over all objects, verified to be a group-subgroupoid."""
+    """All loops over all objects, verified to be a group-subgroupoid.
+
+    Expects a group-groupoid that passes def32 (check_group_groupoid in mode
+    def32).  It checks only that consequence: src and tgt are additive, so
+    the loops are closed under addition and negation.  Input that fails
+    def32 elsewhere, such as the interchange law, may pass it.
+    """
     g = gg.base
     bundle = SubStructure(
         arrows=frozenset(x for x in g.arrows if g.src[x] == g.tgt[x]),
@@ -114,9 +120,12 @@ def unit_fiber_subgroups(
 ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     """The three distinguished subsets over the identity object.
 
-    Returns (source fiber, target fiber, loops); the fibers are verified to be
-    subgroups of the arrow group and the loops to be a group-subgroupoid whose
-    product and inversion agree with the ambient addition and negation.
+    Returns (source fiber, target fiber, loops).  Expects a group-groupoid
+    that passes def32, and checks these consequences of it: the fibers are
+    subgroups of the arrow group, the kernels of the additive src and tgt,
+    and the loops form a group-subgroupoid whose product and inversion agree
+    with the ambient addition and negation, by the interchange law
+    (Eckmann-Hilton).
     """
     g = gg.base
     A = gg.arrow_group
@@ -141,7 +150,10 @@ def unit_fiber_subgroups(
 def anchor_morphism(gg: GroupGroupoid) -> Morphism:
     """The map x -> (src(x)|tgt(x)) into the pair structure on the object group.
 
-    Verified to be a group-groupoid morphism before being returned.
+    Expects a group-groupoid that passes def32, and checks this consequence
+    of it before returning: the anchor is a group-groupoid morphism
+    (validate_gg_morphism), since src and tgt are additive and the product
+    of the pair structure only asks that endpoints match.
     """
     target = group_pair_groupoid(gg.object_group)
     g = gg.base

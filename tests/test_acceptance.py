@@ -197,7 +197,7 @@ def test_c06_noncommutative_single_unit_is_rejected_with_witness():
 
 def test_c07_affine_model_exact_values():
     with criterion(7, "affine example"):
-        report = aff_verify(200, 0)
+        report = aff_verify()
         assert report.valid and len(report.violations) == 0
 
         qa = aff_parallelograms("A", (Fraction(1), Fraction(0), Fraction(1)))

@@ -102,6 +102,18 @@ def test_identities_and_reconstruct(pair_z2_file, s3_control_file, capsys):
     assert run_command(["reconstruct", s3_control_file]) == 1
 
 
+@pytest.mark.parametrize("command", [["isotropy", "--bundle"], ["anchor"]])
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_bundle_and_anchor_refuse_a_structure_that_fails_def32(command, fmt, s3_control_file,
+                                                               capsys):
+    # single-unit S_3: the loops are all six arrows and form a group-subgroupoid,
+    # but interchange fails, so def32's report is printed instead of a bundle
+    assert run_command(["check", s3_control_file, "--mode", "def32", "--format", fmt]) == 1
+    expected = capsys.readouterr().out
+    assert run_command([command[0], s3_control_file, *command[1:], "--format", fmt]) == 1
+    assert capsys.readouterr().out == expected
+
+
 def test_construct_emits_parseable_files(tmp_path, capsys):
     assert run_command(["construct", "pair", "--objects", "a", "b"]) == 0
     sf = parse_structure_file(capsys.readouterr().out)
@@ -228,7 +240,11 @@ def test_a_partial_morphism_file_is_a_usage_error(command, pair_z2_file, tmp_pat
 
 
 def test_affine_subcommands(capsys):
+    assert run_command(["affine", "verify"]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+    # the decision takes no samples and no seed; the flags are accepted and ignored
     assert run_command(["affine", "verify", "--samples", "25", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == "PASS\n"
     assert run_command(["affine", "quad", "--kind", "A",
                         "--params", "1", "0", "1"]) == 0
     out = capsys.readouterr().out
@@ -238,7 +254,10 @@ def test_affine_subcommands(capsys):
     assert run_command(["affine", "quad", "--kind", "A", "--params", "1"]) == 2
     assert run_command(["affine", "quad", "--kind", "B",
                         "--params", "1", "x"]) == 2
-    assert run_command(["affine", "verify", "--samples", "0"]) == 2
+    assert run_command(["affine", "verify", "--samples", "0"]) == 0
+    assert "--samples" not in capsys.readouterr().out
+    assert run_command(["affine", "verify", "--help"]) == 0
+    assert "--samples" not in capsys.readouterr().out
 
 
 def test_machine_format_mirrors_report(s3_control_file, capsys):

@@ -113,6 +113,65 @@ def test_conjugation_in_single_unit_s3():
     assert conj["012"] == "012"
 
 
+def _transitive_groupoids():
+    s3 = group_as_single_unit_groupoid(symmetric_group(3))
+    return {
+        "pair(a,b,c)": pair_groupoid(["a", "b", "c"]),
+        "single-unit S_3": s3,
+        "group-pair Z_3": build_corpus()["group_pair(Z3)"].base,
+        "pair(u,v) x single-unit S_3": direct_product_groupoids(pair_groupoid(["u", "v"]), s3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_transitive_groupoids()))
+def test_conjugation_along_every_arrow_matches_brute_force(name):
+    g = _transitive_groupoids()[name]
+    for x in sorted(g.arrows):
+        u, v = g.src[x], g.tgt[x]
+        at_u = [z for z in g.arrows if g.src[z] == u == g.tgt[z]]
+        at_v = [z for z in g.arrows if g.src[z] == v == g.tgt[z]]
+        reference = {z: g.prod[(g.prod[(g.inv[x], z)], x)] for z in at_u}
+        assert sorted(reference.values()) == sorted(at_v)  # a bijection
+        for z in at_u:
+            for w in at_u:
+                assert reference[g.prod[(z, w)]] == g.prod[(reference[z], reference[w])]
+        assert conjugation_iso(g, x) == reference
+
+
+def _pair_uv_s3():
+    return _transitive_groupoids()["pair(u,v) x single-unit S_3"]
+
+
+def test_conjugation_refuses_a_missing_product():
+    g = _pair_uv_s3()
+    prod = dict(g.prod)
+    del prod[("((v|u)|021)", "((u|u)|102)")]
+    with pytest.raises(InternalCheckFailed) as info:
+        conjugation_iso(rebuild(g, prod=prod), "((u|v)|021)")
+    assert str(info.value) == (
+        "cannot conjugate ((u|u)|102) along ((u|v)|021); the groupoid is not valid")
+
+
+def test_conjugation_refuses_a_map_that_is_not_a_bijection():
+    g = _pair_uv_s3()
+    # inv(x).z for z = ((u|u)|102) is ((v|u)|120); send it on to the image of the identity
+    prod = {**g.prod, ("((v|u)|120)", "((u|v)|021)"): "((v|v)|012)"}
+    with pytest.raises(InternalCheckFailed) as info:
+        conjugation_iso(rebuild(g, prod=prod), "((u|v)|021)")
+    assert str(info.value) == (
+        "conjugation along ((u|v)|021) is not a bijection between the isotropy groups")
+
+
+def test_conjugation_refuses_a_map_that_does_not_preserve_products():
+    g = _pair_uv_s3()
+    # a product of two loops at u, which conjugation along x never reads
+    prod = {**g.prod, ("((u|u)|102)", "((u|u)|120)"): "((u|u)|012)"}
+    with pytest.raises(InternalCheckFailed) as info:
+        conjugation_iso(rebuild(g, prod=prod), "((u|v)|021)")
+    assert str(info.value) == ("conjugation along ((u|v)|021) does not preserve products"
+                               " (witness ((u|u)|102),((u|u)|120))")
+
+
 def test_validate_catches_clobbered_product():
     g = pair_groupoid(["a", "b"])
     prod = dict(g.prod)

@@ -181,6 +181,23 @@ def test_def31_and_def32_read_one_integer_view(monkeypatch):
     assert fresh == gg and repr(fresh) == repr(gg) and "_view" not in repr(gg)
 
 
+def test_def31_skips_identity_and_negation_on_a_clean_structure_and_addition(
+        monkeypatch, s3_control, klein_control):
+    # on a clean structure with a clean addition both maps are morphisms by
+    # theorem; the two controls fail addition's M2, so both maps are checked
+    checked = []
+    validate = overlay.validate_morphism
+    monkeypatch.setattr(overlay, "validate_morphism",
+                        lambda m: checked.append(m) or validate(m))
+    for gg in build_corpus().values():
+        assert check_group_groupoid(gg, mode="def31").valid
+    assert checked == []
+    for gg in (s3_control, klein_control):
+        report = check_group_groupoid(gg, mode="def31")
+        assert "def31:add-map:M2-product" in report.rules()
+    assert len(checked) == 4
+
+
 def test_structural_report_prefixes():
     gg = group_pair_groupoid(cyclic_group(2))
     bad = mutate_base(gg, "prod", ("(0|1)", "(1|0)"), "(0|1)")

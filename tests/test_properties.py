@@ -418,6 +418,7 @@ CERTIFICATES = (
     (overlay, "_shifts_on_generators"),
     (overlay, "_interchange_certificate"),
     (overlay, "_addition_certificate"),
+    (overlay, "_identity_and_negation_certificate"),
 )
 
 
