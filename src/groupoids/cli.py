@@ -9,66 +9,33 @@ deterministic: identical invocations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
+from importlib import import_module
 from itertools import groupby
 
-from . import affine
-from .construct import (
-    direct_product_group_groupoids,
-    direct_product_groupoids,
-    direct_product_groups,
-    group_pair_groupoid,
-    null_group_groupoid,
-    null_groupoid,
-    pair_groupoid,
-    single_unit_group_groupoid,
-)
-from .core import (
-    isotropy_group,
-    structure_identities,
-    validate_groupoid,
-    validate_morphism,
-)
-from .fileformat import (
-    StructureFile,
-    emit_structure_file,
-    load_morphism,
-    load_structure_file,
-)
-from .grouptable import (
-    GroupTable,
-    cyclic_group,
-    symmetric_group,
-    trivial_group,
-    validate_group,
-)
-from .overlay import (
-    MODES,
-    GroupGroupoid,
-    check_derived_identities,
-    check_group_groupoid,
-    reconstruct_from_group,
-    structural_report,
-    validate_gg_morphism,
-)
-from .report import (
-    GroupoidError,
-    InternalCheckFailed,
-    InvalidInput,
-    NonCommutativeGroup,
-    ValidationReport,
-)
-from .sub import SubStructure, anchor_morphism, check_group_subgroupoid, check_subgroupoid, isotropy_bundle
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # for the annotations only: typing itself is not imported
+    from fractions import Fraction
+
+    from .core import Morphism
+    from .fileformat import StructureFile
+    from .grouptable import GroupTable
+    from .overlay import GroupGroupoid
+    from .report import ValidationReport
 
 __all__ = ["run_command", "main"]
 
 _MAX_SHOWN = 5  # per rule, in text reports
+_MODES = ("def31", "def32", "both")  # overlay.MODES, spelled here so --help loads no checker
+
+# Each handler imports what it calls when it runs, so a process loads only
+# the modules of its command: --help and usage errors load none.
 
 
 def _render_report(report: ValidationReport, fmt: str) -> str:
     if fmt == "machine":
+        import json
+
         return json.dumps(report.to_dict(), indent=2, sort_keys=True)
     lines = ["PASS" if report.valid else "FAIL"]
     for rule, group in groupby(report.violations, key=lambda v: v.rule):
@@ -90,6 +57,10 @@ def _finish(report: ValidationReport, fmt: str) -> int:
 
 def _group_from_spec(spec: str) -> GroupTable:
     """trivial | cyclic:N | symmetric:N, joined by '*' for direct products."""
+    from .construct import direct_product_groups
+    from .grouptable import cyclic_group, symmetric_group, trivial_group
+    from .report import InvalidInput
+
     factors = []
     for part in spec.split("*"):
         name, _, arg = part.partition(":")
@@ -112,6 +83,8 @@ def _group_from_spec(spec: str) -> GroupTable:
 
 
 def _positive_int(text: str, where: str) -> int:
+    from .report import InvalidInput
+
     try:
         n = int(text)
     except ValueError:
@@ -121,7 +94,20 @@ def _positive_int(text: str, where: str) -> int:
     return n
 
 
+def _load(path: str, *kinds: str) -> StructureFile:
+    """The structure file at path, refused unless its kind is one of kinds
+    (when any are given)."""
+    from .fileformat import load_structure_file
+
+    sf = load_structure_file(path)
+    if kinds:
+        _want(sf, *kinds)
+    return sf
+
+
 def _want(sf: StructureFile, *kinds: str) -> None:
+    from .report import InvalidInput
+
     if sf.kind not in kinds:
         raise InvalidInput(f"expected a {' or '.join(kinds)} file, got kind {sf.kind}")
 
@@ -130,7 +116,12 @@ def _want(sf: StructureFile, *kinds: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    sf = load_structure_file(args.file)
+    from .core import validate_groupoid
+    from .fileformat import _resolve_morphism
+    from .grouptable import validate_group
+    from .overlay import structural_report
+
+    sf = _load(args.file)
     if sf.kind == "groupoid":
         report = validate_groupoid(sf.structure)
     elif sf.kind == "group_groupoid":
@@ -138,34 +129,43 @@ def _cmd_validate(args) -> int:
     elif sf.kind == "group":
         report = validate_group(sf.structure)
     else:
-        return _cmd_morphism(args)
+        report = _morphism_report(*_resolve_morphism(sf.structure, args.file))
     return _finish(report, args.format)
 
 
 def _cmd_check(args) -> int:
-    sf = load_structure_file(args.file)
-    _want(sf, "group_groupoid")
+    from .overlay import check_group_groupoid
+
+    sf = _load(args.file, "group_groupoid")
     return _finish(check_group_groupoid(sf.structure, mode=args.mode), args.format)
 
 
 def _gate(sf: StructureFile) -> ValidationReport:
     """validate_groupoid for a groupoid, check_group_groupoid in mode def32
     for a group-groupoid."""
+    from .core import validate_groupoid
+    from .overlay import check_group_groupoid
+
     if sf.kind == "groupoid":
         return validate_groupoid(sf.structure)
     return check_group_groupoid(sf.structure, mode="def32")
 
 
 def _cmd_gated(args) -> int:
-    """Print args.checks[kind](structure) once the structure passes _gate,
-    else its failing report."""
-    sf = load_structure_file(args.file)
-    _want(sf, *args.checks)
+    """Print the report of args.checks[kind], a "module.function" of this
+    package, on the structure once it passes _gate, else the failing gate."""
+    sf = _load(args.file, *args.checks)
     gate = _gate(sf)
-    return _finish(args.checks[sf.kind](sf.structure) if gate.valid else gate, args.format)
+    if not gate.valid:
+        return _finish(gate, args.format)
+    module, _, name = args.checks[sf.kind].partition(".")
+    check = getattr(import_module(f".{module}", __package__), name)
+    return _finish(check(sf.structure), args.format)
 
 
 def _emit_out(structure, args) -> int:
+    from .fileformat import emit_structure_file
+
     text = emit_structure_file(structure)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -176,6 +176,18 @@ def _emit_out(structure, args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .construct import (
+        direct_product_group_groupoids,
+        direct_product_groupoids,
+        direct_product_groups,
+        group_pair_groupoid,
+        null_group_groupoid,
+        null_groupoid,
+        pair_groupoid,
+        single_unit_group_groupoid,
+    )
+    from .report import InvalidInput
+
     what = args.what
     if what == "pair":
         if not args.objects:
@@ -201,7 +213,7 @@ def _cmd_construct(args) -> int:
     # what == "product"
     if len(args.files) != 2:
         raise InvalidInput("construct product needs exactly two FILE arguments")
-    left, right = (load_structure_file(p) for p in args.files)
+    left, right = (_load(p) for p in args.files)
     if left.kind != right.kind:
         raise InvalidInput(f"cannot multiply kind {left.kind} by kind {right.kind}")
     if left.kind == "groupoid":
@@ -215,8 +227,9 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_sub(args) -> int:
-    sf = load_structure_file(args.file)
-    _want(sf, "groupoid", "group_groupoid")
+    from .sub import SubStructure, check_group_subgroupoid, check_subgroupoid
+
+    sf = _load(args.file, "groupoid", "group_groupoid")
     s = SubStructure(arrows=frozenset(args.arrows), objects=frozenset(args.objects))
     if sf.kind == "groupoid":
         return _finish(check_subgroupoid(sf.structure, s), args.format)
@@ -224,15 +237,18 @@ def _cmd_sub(args) -> int:
 
 
 def _cmd_isotropy(args) -> int:
-    sf = load_structure_file(args.file)
-    _want(sf, "groupoid", "group_groupoid")
+    sf = _load(args.file, "groupoid", "group_groupoid")
     if args.bundle:
+        from .sub import isotropy_bundle
+
         _want(sf, "group_groupoid")
         gate = _gate(sf)
         if not gate.valid:
             return _finish(gate, args.format)
         s = isotropy_bundle(sf.structure)
         if args.format == "machine":
+            import json
+
             print(json.dumps(
                 {"arrows": sorted(s.arrows), "objects": sorted(s.objects)},
                 indent=2, sort_keys=True,
@@ -241,31 +257,50 @@ def _cmd_isotropy(args) -> int:
             print("objects: " + " ".join(sorted(s.objects)))
             print("arrows: " + " ".join(sorted(s.arrows)))
         return 0
+    from .core import isotropy_group
+    from .fileformat import emit_structure_file
+
     base = sf.structure if sf.kind == "groupoid" else sf.structure.base
     table = isotropy_group(base, args.object)
     sys.stdout.write(emit_structure_file(table))
     return 0
 
 
-def _cmd_morphism(args) -> int:
-    m, src_sf, tgt_sf = load_morphism(args.file)
+def _morphism_report(m: Morphism, src_sf: StructureFile, tgt_sf: StructureFile
+                     ) -> ValidationReport:
+    from .core import validate_morphism
+    from .overlay import validate_gg_morphism
+
     if src_sf.kind == "group_groupoid" and tgt_sf.kind == "group_groupoid":
-        report = validate_gg_morphism(m, src_sf.structure, tgt_sf.structure)
-    else:
-        report = validate_morphism(m)
-    return _finish(report, args.format)
+        return validate_gg_morphism(m, src_sf.structure, tgt_sf.structure)
+    return validate_morphism(m)
+
+
+def _cmd_morphism(args) -> int:
+    from .fileformat import load_morphism
+
+    return _finish(_morphism_report(*load_morphism(args.file)), args.format)
 
 
 def _anchor_report(gg: GroupGroupoid) -> ValidationReport:
+    from .report import ValidationReport
+    from .sub import anchor_morphism
+
     anchor_morphism(gg)  # raises unless the anchor passes validate_gg_morphism
     return ValidationReport()
 
 
 def _cmd_affine_verify(args) -> int:
-    return _finish(affine.aff_verify(), args.format)
+    from .affine import aff_verify
+
+    return _finish(aff_verify(), args.format)
 
 
 def _fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
+    from .report import InvalidInput
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -273,11 +308,16 @@ def _fraction(text: str) -> Fraction:
 
 
 def _cmd_affine_quad(args) -> int:
+    from .affine import aff_parallelograms
+    from .report import InvalidInput
+
     wanted = 3 if args.kind == "A" else 2
     if len(args.params) != wanted:
         raise InvalidInput(f"kind {args.kind} takes {wanted} --params values")
-    quad = affine.aff_parallelograms(args.kind, tuple(_fraction(p) for p in args.params))
+    quad = aff_parallelograms(args.kind, tuple(_fraction(p) for p in args.params))
     if args.format == "machine":
+        import json
+
         print(json.dumps(quad.to_dict(), indent=2, sort_keys=True))
         return 0
     print(f"kind {quad.kind}: " + ("parallelogram" if quad.is_parallelogram else "degenerate"))
@@ -312,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="group-compatibility of a group_groupoid file")
     p.add_argument("file")
-    p.add_argument("--mode", choices=MODES, default="both")
+    p.add_argument("--mode", choices=_MODES, default="both")
     _add_format(p)
     p.set_defaults(handler=_cmd_check)
 
@@ -320,13 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     _add_format(p)
     p.set_defaults(handler=_cmd_gated, checks={
-        "groupoid": structure_identities, "group_groupoid": check_derived_identities,
+        "groupoid": "core.structure_identities",
+        "group_groupoid": "overlay.check_derived_identities",
     })
 
     p = subs.add_parser("reconstruct", help="recompute product and inverse from the group")
     p.add_argument("file")
     _add_format(p)
-    p.set_defaults(handler=_cmd_gated, checks={"group_groupoid": reconstruct_from_group})
+    p.set_defaults(handler=_cmd_gated,
+                   checks={"group_groupoid": "overlay.reconstruct_from_group"})
 
     p = subs.add_parser("construct", help="build a structure and emit its file")
     p.add_argument("what", choices=("pair", "null", "group", "single-unit",
@@ -361,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("anchor", help="validate the source-target morphism")
     p.add_argument("file")
     _add_format(p)
-    p.set_defaults(handler=_cmd_gated, checks={"group_groupoid": _anchor_report})
+    p.set_defaults(handler=_cmd_gated, checks={"group_groupoid": "cli._anchor_report"})
 
     p = subs.add_parser("affine", help="the affine-plane model over the rationals")
     affine_subs = p.add_subparsers(dest="affine_command", required=True)
@@ -390,6 +432,8 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; keep both
         return int(exc.code or 0)
+    from .report import GroupoidError, InternalCheckFailed, NonCommutativeGroup
+
     try:
         return args.handler(args)
     except (NonCommutativeGroup, InternalCheckFailed) as exc:

@@ -493,10 +493,18 @@ def load_morphism(path: str) -> tuple[Morphism, StructureFile, StructureFile]:
     sf = load_structure_file(path)
     if sf.kind != "morphism":
         raise InvalidInput(f"{path} is not a morphism file")
-    spec = sf.structure
+    return _resolve_morphism(sf.structure, path)
+
+
+def _resolve_morphism(spec: MorphismSpec, path: str
+                      ) -> tuple[Morphism, StructureFile, StructureFile]:
+    """The morphism of spec, parsed from the file at path, and its two
+    endpoint files; when ``from:`` and ``to:`` name the same path it is read
+    once."""
     base_dir = os.path.dirname(os.path.abspath(path))
     source = load_structure_file(os.path.join(base_dir, spec.from_path))
-    target = load_structure_file(os.path.join(base_dir, spec.to_path))
+    target = (source if spec.to_path == spec.from_path
+              else load_structure_file(os.path.join(base_dir, spec.to_path)))
     endpoints = []
     for end, which in ((source, "from"), (target, "to")):
         if end.kind == "groupoid":

@@ -284,3 +284,73 @@ def test_module_entry_point(pair_z2_file):
     )
     assert done.returncode == 0
     assert done.stdout == "PASS\n"
+
+
+def test_check_mode_choices_are_overlay_modes(capsys):
+    # cli spells the choices itself so that building the parser loads no checker
+    from groupoids import cli, overlay
+
+    assert cli._MODES == overlay.MODES
+    assert run_command(["check", "--help"]) == 0
+    assert "--mode {" + ",".join(overlay.MODES) + "}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["morphism", "validate"])
+@pytest.mark.parametrize("ends, parses", [(("pairZ2.gpd", "pairZ2.gpd"), 2),
+                                          (("pairZ2.gpd", "plainZ2.gpd"), 3)],
+                         ids=["same-file", "two-files"])
+def test_each_file_of_a_morphism_is_parsed_once(command, ends, parses, pair_z2_file, tmp_path,
+                                                monkeypatch, capsys):
+    from groupoids import fileformat
+
+    # pair_z2_file has written pairZ2.gpd into tmp_path
+    g = group_pair_groupoid(cyclic_group(2)).base
+    (tmp_path / "plainZ2.gpd").write_text(emit_structure_file(g), encoding="utf-8")
+    path = tmp_path / "idmor.gpd"
+    path.write_text(emit_structure_file(
+        Morphism(g, g, {x: x for x in g.arrows}, {u: u for u in g.objects}),
+        from_path=ends[0], to_path=ends[1],
+    ), encoding="utf-8")
+    calls = []
+    parse = fileformat.parse_structure_file
+    monkeypatch.setattr(fileformat, "parse_structure_file",
+                        lambda text: calls.append(1) or parse(text))
+    assert run_command([command, str(path)]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+    assert len(calls) == parses
+
+
+def _loaded_modules(argv, code=0) -> set[str]:
+    """The modules a fresh ``python -m groupoids`` process imports for argv,
+    which must exit with code."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "groupoids", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr[-500:]
+    return {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["check", "--help"], 0),
+                                        (["frobnicate"], 2)],
+                         ids=["help", "check-help", "usage-error"])
+def test_help_and_usage_errors_load_no_checker(argv, code):
+    loaded = _loaded_modules(argv, code)
+    assert {m for m in loaded if m.startswith("groupoids")} == {"groupoids", "groupoids.cli"}
+
+
+@pytest.mark.parametrize("argv", [["affine", "verify"],
+                                  ["affine", "quad", "--kind", "B", "--params", "1", "1/2"]],
+                         ids=["verify", "quad"])
+def test_the_affine_commands_load_only_report_and_affine(argv):
+    loaded = _loaded_modules(argv)
+    assert {m for m in loaded if m.startswith("groupoids")} == {
+        "groupoids", "groupoids.cli", "groupoids.report", "groupoids.affine"}
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["check"], ["identities"], ["reconstruct"]],
+                         ids=lambda argv: argv[0])
+def test_the_file_checks_skip_affine_construct_and_sub(argv, pair_z2_file):
+    loaded = _loaded_modules([*argv, pair_z2_file])
+    assert "groupoids.fileformat" in loaded
+    assert not loaded & {"groupoids.affine", "groupoids.construct", "groupoids.sub",
+                         "fractions"}
