@@ -32,11 +32,16 @@ _MODES = ("def31", "def32", "both")  # overlay.MODES, spelled here so --help loa
 # the modules of its command: --help and usage errors load none.
 
 
+def _machine(value) -> str:
+    """The machine output of every command: indented JSON with sorted keys."""
+    import json
+
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
 def _render_report(report: ValidationReport, fmt: str) -> str:
     if fmt == "machine":
-        import json
-
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+        return _machine(report.to_dict())
     lines = ["PASS" if report.valid else "FAIL"]
     for rule, group in groupby(report.violations, key=lambda v: v.rule):
         found = list(group)
@@ -247,12 +252,7 @@ def _cmd_isotropy(args) -> int:
             return _finish(gate, args.format)
         s = isotropy_bundle(sf.structure)
         if args.format == "machine":
-            import json
-
-            print(json.dumps(
-                {"arrows": sorted(s.arrows), "objects": sorted(s.objects)},
-                indent=2, sort_keys=True,
-            ))
+            print(_machine({"arrows": sorted(s.arrows), "objects": sorted(s.objects)}))
         else:
             print("objects: " + " ".join(sorted(s.objects)))
             print("arrows: " + " ".join(sorted(s.arrows)))
@@ -316,9 +316,7 @@ def _cmd_affine_quad(args) -> int:
         raise InvalidInput(f"kind {args.kind} takes {wanted} --params values")
     quad = aff_parallelograms(args.kind, tuple(_fraction(p) for p in args.params))
     if args.format == "machine":
-        import json
-
-        print(json.dumps(quad.to_dict(), indent=2, sort_keys=True))
+        print(_machine(quad.to_dict()))
         return 0
     print(f"kind {quad.kind}: " + ("parallelogram" if quad.is_parallelogram else "degenerate"))
     for label, point in zip(quad.labels, quad.points):

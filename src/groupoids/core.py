@@ -3,8 +3,9 @@
 A groupoid here is a pair of token sets (objects, arrows) with tabulated
 source/target/unit/inverse maps and a partial product stored only on the
 composable pairs.  Everything is checked by exhaustion, unless Light's test,
-the associativity loop run on a generating set, proves associativity first,
-and reported with witnesses; nothing is inferred or repaired.
+the associativity loop run on a generating set through the fork of the
+generator certificates (grouptable._on_generators), proves associativity
+first, and reported with witnesses; nothing is inferred or repaired.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from itertools import product as cartesian
 from typing import Iterator, Mapping, NamedTuple
 
 from .grouptable import (
-    GroupTable, _associativity, _generating_set, _unassociated, _unchecked, find_isomorphism,
-    is_identifier, pair_token_table, validate_group,
+    GroupTable, _associativity, _generating_set, _unchecked, find_isomorphism, is_identifier,
+    pair_token_table, validate_group,
 )
 from .report import (
     DomainMismatch,
@@ -255,40 +256,28 @@ def _product(g: FiniteGroupoid, k: FiniteGroupoid) -> FiniteGroupoid:
     )
 
 
-def _associative_groupoid(g: FiniteGroupoid) -> bool:
-    """True only if the partial product is associative; it must be stored on
-    exactly the composable pairs, with the source of its first factor and
-    the target of its second (domain-*, G1-source and G1-target clean).
-
-    If no two arrows share a source (a null groupoid), that alone proves it:
-    x.y has the source of x, so it is x, with the target of y; so
-    (x.y).z = x.z = x = x.y = x.(y.z).  Otherwise Light's test: the
-    associativity loop (grouptable._unassociated) on a generating set of
-    the arrows (_generating_set) as middles, per generator s: u -> v a row
-    per x entering u, over the z leaving v.  False proves nothing: the
-    caller then runs the loop on every middle.
-    """
-    _, _, src, tgt, _, unit, prod, starts, ends, _ = _integer_view(g)
-    if len(set(src)) == len(src):
-        return True
-    generators = _generating_set(prod, src, tgt, range(len(src)), set(unit))
-    return next(_unassociated(prod, generators, lambda s: ends[src[s]],
-                              lambda s: starts[tgt[s]]), None) is None
-
-
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Exhaustive check of the groupoid axioms, on the integer view
     (_integer_view).
 
     Covers: the product is stored on exactly the composable pairs; source and
-    target of a product come from its factors; associativity, by Light's
-    test when those hold (_associative_groupoid), else by the loop that
-    validate_group runs (grouptable._associativity); unit laws; inverse
-    laws; surjectivity of source and target; injectivity of the unit map.
-    Theorem: an object u that no arrow has as source (or target) also fails
-    unit-endpoints at (u, unit(u)), since the unit axiom asks for the arrow
-    unit(u): u -> u.  So a surjectivity violation never decides a verdict
-    alone.
+    target of a product come from its factors; associativity; unit laws;
+    inverse laws; surjectivity of source and target; injectivity of the
+    unit map.  Theorem: an object u that no arrow has as source (or target)
+    also fails unit-endpoints at (u, unit(u)), since the unit axiom asks for
+    the arrow unit(u): u -> u.  So a surjectivity violation never decides a
+    verdict alone.
+
+    Associativity (G1-assoc) is the loop that validate_group runs
+    (grouptable._associativity), per middle s: u -> v a row per x entering
+    u, over the z leaving v.  Light's test needs the product stored on
+    exactly the composable pairs, with the source of its first factor and
+    the target of its second (domain-*, G1-source and G1-target clean); only
+    then does the loop get a generating set of the arrows (_generating_set),
+    on which the test may accept.  If, besides, no two arrows share a source
+    (a null groupoid), that alone proves associativity and no row is read:
+    x.y has the source of x, so it is x, with the target of y; so
+    (x.y).z = x.z = x = x.y = x.(y.z).
     """
     rb = ReportBuilder()
     arrows, objects, src, tgt, inv, unit, prod, starts, ends, pairs = _integer_view(g)
@@ -314,8 +303,9 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
 
     # a missing product is explained by domain / endpoint violations already
     clean = endpoints and defined == len(pairs) == len(g.prod)
-    if not (clean and _associative_groupoid(g)):
-        _associativity(rb, "G1-assoc", arrows, prod, lambda y: ends[src[y]],
+    if not clean or len(set(src)) < len(src):  # a clean null groupoid is associative
+        generators = clean and _generating_set(prod, src, tgt, range(len(src)), set(unit))
+        _associativity(rb, "G1-assoc", arrows, prod, generators, lambda y: ends[src[y]],
                        lambda y: starts[tgt[y]])
 
     unit_owner: dict[int, int] = {}

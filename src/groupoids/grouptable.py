@@ -4,9 +4,11 @@ Elements are opaque string tokens.  Every law is decided by enumeration
 over the table's integer view (_rows), a row at a time in C.  Two laws are
 first decided by their own loop run on a greedy generating set
 (_generating_set): associativity (_unassociated) by Light's test and
-additivity of a map (_nonadditive) by the homomorphism lemma.  Such a
-certificate may only accept, and when it refuses the same loop runs on
-every element, so reports are the same either way.  Isomorphism is decided
+additivity of a map (_nonadditive) by the homomorphism lemma.  Each is
+decided by one test (_certifies), in the one fork of the generator
+certificates (_on_generators): a certificate may only accept, and when it
+refuses the same loop runs on every element, so reports are the same
+either way.  Isomorphism is decided
 from the images of a generating set.
 """
 
@@ -15,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from collections import defaultdict
+from functools import partial
 from itertools import compress, count, permutations, product as cartesian, repeat
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
@@ -22,6 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 from .report import (
     DomainMismatch,
     EmptySet,
+    InvalidGroup,
     MalformedTable,
     ReportBuilder,
     ValidationReport,
@@ -244,6 +248,25 @@ def _table_generators(view: _TableView, wanted: Iterable[int]) -> list[int]:
     return _generating_set(view.rows, one, one, wanted, {view.identity})
 
 
+def _certifies(loop: Callable[[Iterable[int]], Iterator], generators: Iterable[int]) -> bool:
+    """True when generators is not empty and loop(generators) yields nothing:
+    the one test of the generator certificates.  loop is a law's own loop
+    (_unassociated, _nonadditive, overlay._unshifted), whose docstring
+    states the theorem that makes its run on a generating set
+    (_generating_set) a proof, and when; the law hands over a generating
+    set only then, and otherwise none.  A certificate may only accept."""
+    return bool(generators) and next(loop(generators), None) is None
+
+
+def _on_generators(loop: Callable[[Iterable[int]], Iterator], generators: Iterable[int],
+                   every: Iterable[int]) -> Iterator:
+    """What loop(every) yields, or nothing when the certificate on generators
+    accepts (_certifies): the one fork of the generator certificates.  When
+    it refuses, the loop runs on every member, so findings are the same
+    either way."""
+    return iter(()) if _certifies(loop, generators) else loop(every)
+
+
 def _unassociated(rows: list[list], middles: Iterable[int], before: Callable[[int], Iterable],
                   after: Callable[[int], list] | None = None
                   ) -> Iterator[tuple[int, int, list | None, list, list]]:
@@ -251,8 +274,10 @@ def _unassociated(rows: list[list], middles: Iterable[int], before: Callable[[in
     in before(y) with x.y stored, wherever the two rows differ, over the z
     in zs = after(y) (None: every z, whole rows): the one associativity
     loop.  Per middle the row of y.z is read once, then per x both sides
-    are lists read in C.  _associativity runs it on every middle, Light's
-    test on a generating set.
+    are lists read in C.  _associativity runs it through the fork
+    (_on_generators), Light's test on a generating set and every middle
+    when that refuses; _associative_generators runs Light's test alone
+    (_certifies) for a table's cached verdict.
 
     Theorem (Light's test; Clifford & Preston 1961, vol. I): if every stored
     product has the source of its first factor and the target of its
@@ -279,83 +304,84 @@ def _unassociated(rows: list[list], middles: Iterable[int], before: Callable[[in
 
 def _associative_generators(table: GroupTable) -> tuple[int, ...]:
     """A generating set of the table (_table_generators) if it is closed and
-    Light's test, the associativity loop on that set (_unassociated), proves
-    it associative, else (): decided once and cached on the table."""
+    Light's test, the associativity loop (_unassociated) on that set, proves
+    it associative (_certifies), else (): decided once and cached on the
+    table.  A table's product is total, so the test applies to every closed
+    table."""
     if table._certified is None:
         view = _rows(table)
         every = range(len(view.rows))
         generators = (table.elements.issuperset(table.op.values())  # closed
                       and _table_generators(view, every))
-        certified = generators and next(
-            _unassociated(view.rows, generators, lambda y: every), None) is None
+        loop = partial(_unassociated, view.rows, before=lambda y: every)
+        certified = _certifies(loop, generators)
         object.__setattr__(table, "_certified", tuple(generators) if certified else ())
     return table._certified
 
 
-def _additive_on_generators(image: list[int], dom: GroupTable, cod: GroupTable) -> bool:
-    """True only if the map h that image lists, on the numbers of the two
-    table views, is additive: h(x+y) == h(x)+h(y) for all x, y.
+def _nonadditive(image: list[int], dom: GroupTable, cod: GroupTable
+                 ) -> Iterator[tuple[int, int, int, int]]:
+    """(x, y, h(x+y), h(x)+h(y)) wherever the two differ, in order, for
+    every x and y, for the map h that image lists on the numbers of the two
+    table views; dom must be closed, and a sum outside cod is None.  Per x,
+    a row of each, read in C: the one additivity loop, run through the fork
+    (_on_generators) on the generating set of dom that Light's test gave
+    (_associative_generators) when both tables pass that test, else on
+    every x.  A generator costs a row of each table.
 
     Theorem (the homomorphism lemma): if both tables are associative and
-    the additivity loop (_nonadditive) finds h(s+y) == h(s)+h(y) for every
-    s in a set S that generates dom and every y, h is additive.  Proof: such
-    s are closed under +, as for two of them a, b, h((a+b)+y) =
-    h(a+(b+y)) = h(a)+(h(b)+h(y)) = (h(a)+h(b))+h(y) = h(a+b)+h(y), the last
-    step by the rule for a at y = b.  Light's test (_associative_generators)
-    proves both tables closed and associative and gives S.
-
-    False proves nothing: the caller then runs the loop on every row.
-    Costs a row of each table per generator, read in C.
+    the loop finds h(s+y) == h(s)+h(y) for every s in a set S that
+    generates dom and every y, h is additive.  Proof: such s are closed
+    under +, as for two of them a, b, h((a+b)+y) = h(a+(b+y)) =
+    h(a)+(h(b)+h(y)) = (h(a)+h(b))+h(y) = h(a+b)+h(y), the last step by the
+    rule for a at y = b.  Light's test (_associative_generators) proves both
+    tables closed and associative and gives S.
     """
-    generators = _associative_generators(dom)
-    if not generators or not _associative_generators(cod):
-        return False
-    return next(_nonadditive(image, dom, cod, generators), None) is None
-
-
-def _nonadditive(image: list[int], dom: GroupTable, cod: GroupTable, xs: Iterable[int]
-                 ) -> Iterator[tuple[int, int, int, int]]:
-    """(x, y, h(x+y), h(x)+h(y)) wherever the two differ, in order, for each
-    x in xs and every y, for the map h that image lists on the numbers of the
-    two table views; dom must be closed, and a sum outside cod is None.  Per
-    x, a row of each, read in C: the one additivity loop, run on every x by
-    additivity_report and on a generating set by _additive_on_generators."""
     rows, cod_rows = _rows(dom).rows, _rows(cod).rows
-    for x in xs:
-        images = list(map(image.__getitem__, rows[x]))
-        sums = list(map(cod_rows[image[x]].__getitem__, image))
-        if images != sums:
-            for y in _mismatches(images, sums):
-                yield x, y, images[y], sums[y]
+
+    def loop(xs: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+        for x in xs:
+            images = list(map(image.__getitem__, rows[x]))
+            sums = list(map(cod_rows[image[x]].__getitem__, image))
+            if images != sums:
+                for y in _mismatches(images, sums):
+                    yield x, y, images[y], sums[y]
+
+    generators = _associative_generators(dom)
+    certified = generators and _associative_generators(cod)  # cod decided only if dom passes
+    return _on_generators(loop, generators if certified else (), range(len(rows)))
 
 
 def additivity_report(
     rule: str, name: str, h: Mapping[str, str], dom: GroupTable, cod: GroupTable
 ) -> ValidationReport:
     """One violation of rule per pair with h(x+y) != h(x)+h(y); dom must be
-    closed.  Accepted by the homomorphism certificate (_additive_on_generators)
-    or enumerated row by row on the integer views (_nonadditive)."""
+    closed.  Read row by row on the integer views by the additivity loop
+    (_nonadditive), which the homomorphism certificate may accept first."""
     (elems, _, rows, *_), (_, number, *_) = _rows(dom), _rows(cod)
     image = [number[h[x]] for x in elems]
     rb = ReportBuilder()
-    if not _additive_on_generators(image, dom, cod):
-        for i, j, _, _ in _nonadditive(image, dom, cod, range(len(elems))):
-            x, y, s = elems[i], elems[j], elems[rows[i][j]]
-            msg = f"{name}({x}+{y}) = {h[s]} but {name}({x})+{name}({y}) = {cod.op[(h[x], h[y])]}"
-            rb.violation(rule, (x, y), msg)
+    for i, j, _, _ in _nonadditive(image, dom, cod):
+        x, y, s = elems[i], elems[j], elems[rows[i][j]]
+        msg = f"{name}({x}+{y}) = {h[s]} but {name}({x})+{name}({y}) = {cod.op[(h[x], h[y])]}"
+        rb.violation(rule, (x, y), msg)
     return rb.build()
 
 
 def _associativity(rb: ReportBuilder, rule: str, names: list[str], rows: list[list],
-                   before: Callable[[int], Iterable], after: Callable[[int], list] | None = None
-                   ) -> None:
+                   generators: Iterable[int], before: Callable[[int], Iterable],
+                   after: Callable[[int], list] | None = None) -> None:
     """Report (x.y).z != x.(y.z) under rule for every middle y, x in before(y)
     with x.y stored and z in after(y) (every z if after is None), skipping a
     product that is not stored (-1): the associativity loop (_unassociated)
-    on every middle, as validate_group and validate_groupoid run it.  Only
-    rows that differ reach Python, which is no shortcut: equal rows hold no
-    violation."""
-    for x, y, zs, left, right in _unassociated(rows, range(len(rows)), before, after):
+    through the fork (_on_generators), Light's test on generators and every
+    middle when it refuses or generators is empty, as validate_group and
+    validate_groupoid run it.  Light's theorem needs every stored product
+    to have the source of its first factor and the target of its second,
+    so a caller hands over generators only then.  Only rows that differ
+    reach Python, which is no shortcut: equal rows hold no violation."""
+    loop = partial(_unassociated, rows, before=before, after=after)
+    for x, y, zs, left, right in _on_generators(loop, generators, range(len(rows))):
         for j in _mismatches(left, right):
             if left[j] != -1 and right[j] != -1:
                 x_, y_, z_ = names[x], names[y], names[j if zs is None else zs[j]]
@@ -368,9 +394,10 @@ def validate_group(table: GroupTable) -> ValidationReport:
 
     A product outside the element set is reported as closure, and
     associativity, which would compose it further, is then skipped.
-    Associativity is enumerated on the integer view, m^2 rows compared in C,
-    by the loop that validate_groupoid runs for G1-assoc (_associativity),
-    unless Light's test proves it first (_associative_generators).
+    Associativity is read off the table's cached verdict
+    (_associative_generators), which Light's test decides; when it refuses,
+    the loop that validate_groupoid runs for G1-assoc (_associativity)
+    enumerates every middle on the integer view, m^2 rows compared in C.
     """
     rb = ReportBuilder()
     elems, _, rows, *_ = _rows(table)
@@ -378,7 +405,7 @@ def validate_group(table: GroupTable) -> ValidationReport:
     e = table.identity
     if closure_gate(rb, "associativity", {"": table}) and not _associative_generators(table):
         every = range(len(elems))
-        _associativity(rb, "associativity", elems, rows, lambda y: every)
+        _associativity(rb, "associativity", elems, rows, (), lambda y: every)
     for x in elems:
         if op[(e, x)] != x:
             rb.violation("left-identity", (x,), f"{e}.{x} = {op[(e, x)]}")
@@ -392,8 +419,17 @@ def validate_group(table: GroupTable) -> ValidationReport:
     return rb.build()
 
 
+def _require_closed(*tables: GroupTable) -> None:
+    """Raise InvalidGroup, naming the first closure violation, unless every
+    table is closed: a product outside the elements has no number to map."""
+    for table in tables:
+        closure_report(table).require(InvalidGroup, "not a group")
+
+
 def is_group_hom(f: Mapping[str, str], dom: GroupTable, cod: GroupTable) -> bool:
-    """True iff f respects the two operations everywhere.  Both tables must be groups."""
+    """True iff f respects the two operations everywhere.  Both tables must be
+    groups; one with a product outside its elements raises InvalidGroup."""
+    _require_closed(dom, cod)
     if set(f) != set(dom.elements):
         raise DomainMismatch("map must be total on the domain elements")
     if not set(f.values()) <= set(cod.elements):
@@ -426,7 +462,8 @@ def element_order(table: GroupTable, x: str) -> int:
 
 
 def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
-    """An isomorphism from a to b, or None if there is none.  Both must be groups.
+    """An isomorphism from a to b, or None if there is none.  Both must be
+    groups; one with a product outside its elements raises InvalidGroup.
 
     Theorem: for any map phi, the s with phi(x+s) == phi(x)+phi(s) for all x
     are closed under +, as phi(x+(s+t)) = phi(x+s)+phi(t) =
@@ -439,6 +476,7 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
     candidates, as |S| <= log2(m) + 1, each spread in m |S| steps (Miller
     1978).  The map returned is checked on all m^2 products.
     """
+    _require_closed(a, b)
     if len(a.elements) != len(b.elements):
         return None
     order_a = {x: element_order(a, x) for x in a.elements}

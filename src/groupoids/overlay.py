@@ -21,7 +21,8 @@ The compatibility between the two layers can be decided two independent ways:
 A certificate may only accept; when it refuses, the enumeration runs
 unchanged, so reports are the same either way.  The homomorphism and shift
 certificates are their laws' own loops (grouptable._nonadditive,
-_unshifted) run on a generating set.  Every law but the morphism
+_unshifted) run on a generating set, through the one fork of the generator
+certificates (grouptable._on_generators).  Every law but the morphism
 validators' is read off the integer views of the base (core._integer_view)
 and of the two tables (grouptable._rows), each built once, which number the
 arrows and the objects alike, a row of C-level lookups at a time; tokens
@@ -52,10 +53,10 @@ from .core import (
 )
 from .grouptable import (
     GroupTable,
-    _additive_on_generators,
     _associative_generators,
     _mismatches,
     _nonadditive,
+    _on_generators,
     _rows,
     _table_generators,
     additivity_report,
@@ -251,10 +252,10 @@ def _addition_pointwise(gg: GroupGroupoid) -> ValidationReport:
     unit compatibility per object pair (u, v), with validate_morphism's
     rules, witnesses and messages; _addition_products has the M2 instances.
     Each law says that a structure map h (src, tgt, inv or unit) is
-    additive: the homomorphism certificate (grouptable._additive_on_generators)
-    may accept it, which runs the additivity loop (grouptable._nonadditive)
-    on the rows of a generating set, else that loop runs a row at a time
-    over every element of the integer views, 3*A^2 + O^2 row steps in all.
+    additive: the additivity loop (grouptable._nonadditive) reads it, on
+    the rows of a generating set when the homomorphism certificate may
+    accept it, else a row at a time over every element of the integer
+    views, 3*A^2 + O^2 row steps in all.
     """
     arrows, objects, src, tgt, inv, unit, *_ = _integer_view(gg.base)
     A, O = gg.arrow_group, gg.object_group
@@ -268,10 +269,8 @@ def _addition_pointwise(gg: GroupGroupoid) -> ValidationReport:
         ("unit-compatibility", unit, O, A, objects, arrows,
          "f(unit({a})) = {sh} but unit(f0({a})) = {hs}"),
     ):
-        if _additive_on_generators(h, dom, cod):
-            continue
         # hs is h(x+z), sh is h(x)+h(z)
-        for x, z, hs, sh in _nonadditive(h, dom, cod, range(len(h))):
+        for x, z, hs, sh in _nonadditive(h, dom, cod):
             a = token(pair_names[x], pair_names[z])
             rb.violation(rule, (a,), text.format(a=a, hs=names[hs], sh=names[sh]))
     return rb.build()
@@ -451,22 +450,13 @@ def _unshifted(gg: GroupGroupoid, columns: list, side: str, kernel: list
                ) -> Iterator[tuple[int, int, int, int]]:
     """(j, t, shifted, (x.y)+t) for each stored pair j = (x, y, x.y) of the
     columns and each t in kernel where the shift law of that side fails
-    (_shifted), one column over the stored pairs per t: the one loop of the
-    shift laws, run on every kernel member by check_derived_identities and
-    on a generating set by _shifts_on_generators."""
-    for t in kernel:
-        lhs, rhs = _shifted(gg, columns, side, t)
-        if lhs != rhs:
-            for j in _mismatches(lhs, rhs):
-                yield j, t, lhs[j], rhs[j]
-
-
-def _shifts_on_generators(gg: GroupGroupoid, columns: list, side: str, kernel: list) -> bool:
-    """True only if every stored pair (x, y) obeys the shift law of that side
-    by every t in kernel: x.(y+t) is stored and equals (x.y)+t (side
-    'source'), or (x+t).y is stored and equals (x.y)+t (side 'target').
-    Runs the shift loop (_unshifted) on a generating set of the kernel
-    (grouptable._table_generators).
+    (_shifted), one column over the stored pairs per t: x.(y+t) must be
+    stored and equal (x.y)+t (side 'source'), or (x+t).y (side 'target').
+    The one loop of the shift laws, run through the fork
+    (grouptable._on_generators) on a generating set of the kernel
+    (grouptable._table_generators) when the theorem below applies, else on
+    every member.  A generator costs a column over the stored pairs, read
+    in C.
 
     Theorem: if the arrow group is associative, the t by which every stored
     pair obeys the law are closed under +, so a generating set of the kernel
@@ -475,17 +465,21 @@ def _shifts_on_generators(gg: GroupGroupoid, columns: list, side: str, kernel: l
     stored with x.(y+a) = (x.y)+a, so (x, (y+a)+b) is stored with
     x.((y+a)+b) = (x.(y+a))+b = ((x.y)+a)+b, which associativity makes
     x.(y+(a+b)) = (x.y)+(a+b).  The step from (x, y+a) to (x, (y+a)+b)
-    needs the stored pair (x, y+a) among the columns, so the certificate
-    refuses unless every stored product is on a composable pair; Light's
-    test (_associative_generators) proves the arrow group associative.
-
-    False proves nothing: the caller then runs the loop on every t.  Costs a
-    column over the stored pairs per generator, read in C.
+    needs the stored pair (x, y+a) among the columns, so the loop gets no
+    generating set unless every stored product is on a composable pair;
+    Light's test (_associative_generators) proves the arrow group
+    associative.
     """
-    if len(columns[0]) != len(gg.base.prod) or not _associative_generators(gg.arrow_group):
-        return False
-    generators = _table_generators(_rows(gg.arrow_group), kernel)
-    return next(_unshifted(gg, columns, side, generators), None) is None
+    def loop(ts: list) -> Iterator[tuple[int, int, int, int]]:
+        for t in ts:
+            lhs, rhs = _shifted(gg, columns, side, t)
+            if lhs != rhs:
+                for j in _mismatches(lhs, rhs):
+                    yield j, t, lhs[j], rhs[j]
+
+    certified = len(columns[0]) == len(gg.base.prod) and _associative_generators(gg.arrow_group)
+    generators = certified and _table_generators(_rows(gg.arrow_group), kernel)
+    return _on_generators(loop, generators, kernel)
 
 
 def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
@@ -506,7 +500,7 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
     antidistribution one row per arrow, each compared in C.  Each shift law
     is one column over the stored pairs per member of ker src or ker tgt
     (_unshifted), run on a generating set of the kernel by its certificate
-    (_shifts_on_generators) and on every member when that refuses.
+    and on every member when that refuses.
     """
     A, O = gg.arrow_group, gg.object_group
     rb = ReportBuilder()
@@ -531,10 +525,9 @@ def check_derived_identities(gg: GroupGroupoid) -> ValidationReport:
         ("source", ker_src, "shift-by-source-fiber", "x.(y+t) = {} but (x.y)+t = {}"),
         ("target", ker_tgt, "shift-by-target-fiber", "(x+z).y = {} but (x.y)+z = {}"),
     ):
-        if not _shifts_on_generators(gg, columns, side, kernel):
-            for j, t, lhs, rhs in _unshifted(gg, columns, side, kernel):
-                rb.violation(rule, (arrows[xs[j]], arrows[ys[j]], arrows[t]),
-                             text.format(names[lhs], arrows[rhs]))
+        for j, t, lhs, rhs in _unshifted(gg, columns, side, kernel):
+            rb.violation(rule, (arrows[xs[j]], arrows[ys[j]], arrows[t]),
+                         text.format(names[lhs], arrows[rhs]))
 
     if src[e] != e0 or tgt[e] != e0:
         rb.violation("identity-arrow-endpoints", (E,), "identity arrow has endpoints "

@@ -1,5 +1,8 @@
+from typing import NamedTuple
+
 import pytest
 
+import groupoids.grouptable as grouptable
 from groupoids import (
     GroupGroupoid,
     GroupTable,
@@ -117,3 +120,26 @@ def klein_control() -> GroupGroupoid:
 @pytest.fixture(scope="session")
 def nonassociative_table() -> GroupTable:
     return nonassociative_z4_table()
+
+
+class CertificateRun(NamedTuple):
+    """One run of the test of the generator certificates: the generating set
+    it was handed, and whether it accepted."""
+
+    generators: list
+    accepted: bool
+
+
+@pytest.fixture
+def certificate_runs(monkeypatch) -> list[CertificateRun]:
+    """Every run of grouptable._certifies from here on, in order."""
+    runs: list[CertificateRun] = []
+    certifies = grouptable._certifies
+
+    def recorded(loop, generators):
+        accepted = certifies(loop, generators)
+        runs.append(CertificateRun(list(generators or ()), accepted))
+        return accepted
+
+    monkeypatch.setattr(grouptable, "_certifies", recorded)
+    return runs

@@ -3,6 +3,7 @@ import re
 import pytest
 
 import groupoids.core as core
+import groupoids.grouptable as grouptable
 from conftest import build_corpus
 from groupoids import (
     FiniteGroupoid,
@@ -459,10 +460,12 @@ def test_the_generating_set_costs_a_row_read_per_arrow_and_generator(g):
     assert _CountingRows.reads <= 2 * len(view.arrows) * len(generators)
 
 
-def test_light_test_refuses_a_nonassociative_single_unit_groupoid(nonassociative_table):
+def test_light_test_refuses_a_nonassociative_single_unit_groupoid(nonassociative_table,
+                                                                   certificate_runs):
     g = core._single_unit(nonassociative_table)
-    assert not core._associative_groupoid(g)
     report = validate_groupoid(g)
+    # handed a generating set, the associativity loop found a violation on it
+    assert [(bool(run.generators), run.accepted) for run in certificate_runs] == [(True, False)]
     assert report.rules() == ("G1-assoc",)
     t = nonassociative_table
     elems = sorted(t.elements)
@@ -477,6 +480,8 @@ def test_a_null_groupoid_is_associative_without_a_row_read(monkeypatch):
     def read(*args):
         raise AssertionError("a null groupoid read a row for G1-assoc")
 
-    for name in ("_associativity", "_generating_set", "_unassociated"):
-        monkeypatch.setattr(core, name, read)
+    for module, name in ((core, "_associativity"), (core, "_generating_set"),
+                         (grouptable, "_on_generators"), (grouptable, "_certifies"),
+                         (grouptable, "_unassociated")):
+        monkeypatch.setattr(module, name, read)
     assert validate_groupoid(null_groupoid([str(i) for i in range(24)])).valid

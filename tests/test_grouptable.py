@@ -9,6 +9,7 @@ import pytest
 from groupoids import (
     EmptySet,
     GroupTable,
+    InvalidGroup,
     MalformedTable,
     cyclic_group,
     direct_product_groups,
@@ -26,7 +27,7 @@ from groupoids import (
 from conftest import sums
 from groupoids.core import _single_unit
 from groupoids.grouptable import (
-    _additive_on_generators, _rows, _table_generators, additivity_report, is_identifier,
+    _associative_generators, _rows, _table_generators, additivity_report, is_identifier,
 )
 
 
@@ -293,8 +294,6 @@ def test_cyclic_group_rejects_nonpositive():
 
 
 def test_light_test_rejects_a_closed_nonassociative_table(nonassociative_table):
-    from groupoids.grouptable import _associative_generators
-
     t = nonassociative_table
     assert _associative_generators(t) == ()
     elems = sorted(t.elements)
@@ -368,11 +367,29 @@ def test_a_generating_set_of_a_group_has_at_most_log2_m_plus_one_members():
             assert view.identity not in generators
 
 
-def test_the_homomorphism_certificate_refuses_a_map_additive_on_all_but_one_pair():
+def test_the_homomorphism_certificate_refuses_a_map_additive_on_all_but_one_pair(
+        certificate_runs):
     # h(1) = 1 in Z_3: h(1+1) = h(0) = 0 but h(1)+h(1) = 2, and every pair with 0 holds
     z2, z3 = cyclic_group(2), cyclic_group(3)
     h = {"0": "0", "1": "1"}
-    assert not _additive_on_generators([0, 1], z2, z3)
     report = additivity_report("hom", "h", h, z2, z3)
     assert [v.witness for v in report.violations] == [("1", "1")]
+    # Light's test accepts both tables, then the additivity loop, handed
+    # Z_2's generator 1, finds (1, 1) there and runs on every element
+    assert [run.accepted for run in certificate_runs] == [True, True, False]
+    assert certificate_runs[-1].generators == list(_associative_generators(z2)) == [1]
     assert not is_group_hom(h, z2, z3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda z3, bad: is_group_hom({x: x for x in z3.elements}, bad, z3),
+    lambda z3, bad: is_group_hom({x: x for x in z3.elements}, z3, bad),
+    lambda z3, bad: find_isomorphism(bad, bad),
+    lambda z3, bad: find_isomorphism(z3, bad),
+], ids=["hom-domain", "hom-codomain", "iso-both", "iso-second"])
+def test_a_table_with_a_product_outside_its_elements_is_refused_as_no_group(call):
+    # both must be groups; the product has no element number to map or spread
+    z3 = cyclic_group(3)
+    bad = GroupTable(z3.elements, {**z3.op, ("1", "1"): "zz"}, "0", z3.inverse)
+    with pytest.raises(InvalidGroup, match=re.escape("not a group: closure at 1,1,zz")):
+        call(z3, bad)

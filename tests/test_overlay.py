@@ -426,19 +426,23 @@ def test_every_kernel_member_is_a_sum_of_the_kernel_generating_set(gg):
         assert set(generators) <= set(kernel) <= sums(table.rows, generators)
 
 
-def test_the_shift_certificate_refuses_a_rewired_single_unit_z4():
+def test_the_shift_certificate_refuses_a_rewired_single_unit_z4(certificate_runs):
     # 1.1 stored as 3: 1.(1+1) = 1.2 = 3 but (1.1)+1 = 0, and (1+1).1 = 3 too
     gg = mutate_base(single_unit_group_groupoid(cyclic_group(4)), "prod", ("1", "1"), "3")
     stored = [pair for pair in core._integer_view(gg.base).pairs if pair[2] != -1]
     columns = [[pair[i] for pair in stored] for i in range(3)]
     for side in ("source", "target"):
-        assert not overlay._shifts_on_generators(gg, columns, side, [0, 1, 2, 3])
+        # handed the kernel's generator 1, the shift loop finds (1, 1, 1) there
+        j = stored.index((1, 1, 3))
+        assert (j, 1, 3, 0) in list(overlay._unshifted(gg, columns, side, [0, 1, 2, 3]))
+        assert certificate_runs[-1] == ([1], False)
     report = check_derived_identities(gg)
     for rule in ("shift-by-source-fiber", "shift-by-target-fiber"):
         assert ("1", "1", "1") in {v.witness for v in report.by_rule(rule)}
 
 
-def test_the_shift_certificate_refuses_a_product_stored_off_a_composable_pair(monkeypatch):
+def test_the_shift_certificate_refuses_a_product_stored_off_a_composable_pair(
+        monkeypatch, certificate_runs):
     # Z_6 over Z_2: arrows 0-3 leave object 0, 4 and 5 leave object 1, all
     # enter 0, and x.y = x+y is stored for y <= 4, so x.4 is stored off a
     # composable pair and x.5 not at all.  t = 1 generates ker src = {0,..,3}
@@ -454,8 +458,11 @@ def test_the_shift_certificate_refuses_a_product_stored_off_a_composable_pair(mo
     view = core._integer_view(base)
     stored = [pair for pair in view.pairs if pair[2] != -1]
     columns = [[pair[i] for pair in stored] for i in range(3)]
-    assert overlay._shifts_on_generators(gg, columns, "source", [1]) is False
+    # the certificate is handed no generating set, so the loop runs on every t
+    j = stored.index((0, 3, 3))
+    assert (j, 2, -1, 5) in list(overlay._unshifted(gg, columns, "source", [0, 1, 2, 3]))
+    assert certificate_runs[-1] == ([], False)
     report = check_derived_identities(gg)
     assert ("0", "3", "2") in {v.witness for v in report.by_rule("shift-by-source-fiber")}
-    monkeypatch.setattr(overlay, "_shifts_on_generators", lambda *args: False)
+    monkeypatch.setattr(grouptable, "_certifies", lambda loop, generators: False)
     assert check_derived_identities(gg).to_dict() == report.to_dict()

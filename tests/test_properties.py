@@ -391,31 +391,16 @@ def _refuse(*args) -> bool:
     return False
 
 
-# the enumerations that no valid input reaches, at every name they are called by
+# the enumerations behind the certificates that are not their law's own loop,
+# which no valid input reaches
 ENUMERATIONS = (
-    (grouptable, "_associativity"),  # validate_group
-    (core, "_associativity"),  # G1-assoc
     (overlay, "check_interchange"),
     (overlay, "_addition_products"),
 )
-# the loop that a generator certificate runs on a generating set, and its
-# enumeration on every element, at every name it is called by, with the
-# index rows that the set generates and the set it runs on, from its arguments
-GENERATOR_LOOPS = (
-    (grouptable, "_unassociated", lambda rows, middles, *_: (rows, middles)),  # of a table
-    (core, "_unassociated", lambda rows, middles, *_: (rows, middles)),  # G1-assoc
-    (grouptable, "_nonadditive", lambda image, dom, cod, xs: (grouptable._rows(dom).rows, xs)),
-    (overlay, "_nonadditive", lambda image, dom, cod, xs: (grouptable._rows(dom).rows, xs)),
-    (overlay, "_unshifted",
-     lambda gg, columns, side, kernel: (grouptable._rows(gg.arrow_group).rows, kernel)),
-)
-# each certificate, at every name it is called by
+# the one test of every generator certificate, then the certificates that are
+# not their law's own loop
 CERTIFICATES = (
-    (grouptable, "_associative_generators"),  # associativity of a table, cached per table
-    (core, "_associative_groupoid"),  # G1-assoc
-    (grouptable, "_additive_on_generators"),  # additivity_report
-    (overlay, "_additive_on_generators"),  # def31's pointwise laws
-    (overlay, "_shifts_on_generators"),
+    (grouptable, "_certifies"),
     (overlay, "_interchange_certificate"),
     (overlay, "_addition_certificate"),
     (overlay, "_identity_and_negation_certificate"),
@@ -781,34 +766,38 @@ class _CountingOp(dict):
         return super().__getitem__(key)
 
 
+def _recording_generating_sets(monkeypatch) -> list[list[int]]:
+    """Every generating set that _generating_set builds from here on."""
+    built, build = [], grouptable._generating_set
+
+    def generating_set(*args):
+        generators = build(*args)
+        built.append(generators)
+        return generators
+
+    for module in (grouptable, core):
+        monkeypatch.setattr(module, "_generating_set", generating_set)
+    return built
+
+
 @pytest.mark.parametrize("gg", CORPUS + (group_pair_groupoid(symmetric_group(3)),))
 def test_valid_input_takes_the_fast_paths(gg, monkeypatch):
     # every certificate accepts valid input, so no enumeration behind one
-    # runs, and a generator certificate's loop runs on a generating set only
+    # runs, and each generator certificate is handed a set that
+    # _generating_set built, so the fork never runs a loop on every member
     def enumerated(*args):
         raise AssertionError("an enumeration ran on valid input")
 
-    generated = {}  # id of the index rows -> the generating sets built on them
-    build = grouptable._generating_set
+    built, certify = _recording_generating_sets(monkeypatch), grouptable._certifies
 
-    def generating_set(rows, *args):
-        generators = build(rows, *args)
-        generated.setdefault(id(rows), []).append(generators)
-        return generators
-
-    def on_generators(loop, arguments):
-        def run(*args):
-            rows, members = arguments(*args)
-            assert list(members) in generated.get(id(rows), []), f"{loop.__name__} enumerated"
-            return loop(*args)
-        return run
+    def certifies(loop, generators):
+        assert generators and list(generators) in built, "a certificate got no generating set"
+        assert certify(loop, generators), "a generator certificate refused valid input"
+        return True
 
     for module, name in ENUMERATIONS:
         monkeypatch.setattr(module, name, enumerated)
-    for module in (grouptable, core):
-        monkeypatch.setattr(module, "_generating_set", generating_set)
-    for module, name, arguments in GENERATOR_LOOPS:
-        monkeypatch.setattr(module, name, on_generators(getattr(module, name), arguments))
+    monkeypatch.setattr(grouptable, "_certifies", certifies)
     gg = _fresh(gg)
     for mode in ("def31", "def32", "both"):
         assert check_group_groupoid(gg, mode=mode).valid
@@ -821,6 +810,32 @@ def test_valid_input_takes_the_fast_paths(gg, monkeypatch):
     # building the index table reads each entry once; the identity and
     # inverse laws read 4 per element; the triple loop would read 4 m^3
     assert counted.op.lookups <= m * m + 4 * m
+
+
+@pytest.mark.parametrize("gg", CORPUS, ids=list(build_corpus()))
+def test_every_generating_set_is_handed_to_the_certificate_test(gg, monkeypatch):
+    # a generator certificate that ran its loop on a generating set outside
+    # grouptable._certifies would escape the switch that
+    # test_certificates_only_accept turns; find_isomorphism's search is no
+    # certificate, and is left out
+    built, certify = _recording_generating_sets(monkeypatch), grouptable._certifies
+    handed, search = [], core.find_isomorphism
+
+    def certifies(loop, generators):
+        handed.append(id(generators))
+        return certify(loop, generators)
+
+    def find_isomorphism(a, b):
+        searched = len(built)
+        found = search(a, b)
+        del built[searched:]
+        return found
+
+    monkeypatch.setattr(grouptable, "_certifies", certifies)
+    monkeypatch.setattr(core, "find_isomorphism", find_isomorphism)
+    _certified_reports(gg)
+    assert built
+    assert [s for s in built if id(s) not in handed] == []
 
 
 @given(mutated())
