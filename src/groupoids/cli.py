@@ -286,7 +286,7 @@ def _anchor_report(gg: GroupGroupoid) -> ValidationReport:
     from .report import ValidationReport
     from .sub import anchor_morphism
 
-    anchor_morphism(gg)  # raises unless the anchor passes validate_gg_morphism
+    anchor_morphism(gg)  # gg passed the def32 gate, so its anchor is a morphism by theorem
     return ValidationReport()
 
 

@@ -8,8 +8,9 @@ additivity of a map (_nonadditive) by the homomorphism lemma.  Each is
 decided by one test (_certifies), in the one fork of the generator
 certificates (_on_generators): a certificate may only accept, and when it
 refuses the same loop runs on every element, so reports are the same
-either way.  Isomorphism is decided
-from the images of a generating set.
+either way.  Isomorphism of two groups is decided from the images of the
+generating set that Light's test gave, and rests on its theorem: the map
+the search finds is returned unchecked.
 """
 
 from __future__ import annotations
@@ -419,17 +420,12 @@ def validate_group(table: GroupTable) -> ValidationReport:
     return rb.build()
 
 
-def _require_closed(*tables: GroupTable) -> None:
-    """Raise InvalidGroup, naming the first closure violation, unless every
-    table is closed: a product outside the elements has no number to map."""
-    for table in tables:
-        closure_report(table).require(InvalidGroup, "not a group")
-
-
 def is_group_hom(f: Mapping[str, str], dom: GroupTable, cod: GroupTable) -> bool:
     """True iff f respects the two operations everywhere.  Both tables must be
-    groups; one with a product outside its elements raises InvalidGroup."""
-    _require_closed(dom, cod)
+    groups; one with a product outside its elements raises InvalidGroup, as
+    such a product has no number to map."""
+    for table in (dom, cod):
+        closure_report(table).require(InvalidGroup, "not a group")
     if set(f) != set(dom.elements):
         raise DomainMismatch("map must be total on the domain elements")
     if not set(f.values()) <= set(cod.elements):
@@ -463,20 +459,24 @@ def element_order(table: GroupTable, x: str) -> int:
 
 def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
     """An isomorphism from a to b, or None if there is none.  Both must be
-    groups; one with a product outside its elements raises InvalidGroup.
+    groups (InvalidGroup otherwise, naming validate_group's first violation).
 
     Theorem: for any map phi, the s with phi(x+s) == phi(x)+phi(s) for all x
     are closed under +, as phi(x+(s+t)) = phi(x+s)+phi(t) =
     phi(x)+phi(s)+phi(t) = phi(x)+phi(s+t).  So a map obeying the rule on a
     generating set is a homomorphism, fixed by the generators' images.  The
-    search chooses the image of each member of a's greedy generating set S
-    (_table_generators) in turn, among b's elements of the same order,
-    spreads phi(x+s) = phi(x)+phi(s) from the identity, and drops a branch
-    once phi is not a well-defined injection: at most m^(log2 m + 1)
-    candidates, as |S| <= log2(m) + 1, each spread in m |S| steps (Miller
-    1978).  The map returned is checked on all m^2 products.
+    search chooses the image of each member of the generating set S that
+    Light's test gave for a (_associative_generators) in turn, among b's
+    elements of the same order, spreads phi(x+s) = phi(x)+phi(s) from the
+    identity, and drops a branch once phi is not a well-defined injection:
+    at most m^(log2 m + 1) candidates, as |S| <= log2(m) + 1, each spread in
+    m |S| steps (Miller 1978).  A map the search returns obeys the rule for
+    every x and every generator s, and is total, as the spread reaches the
+    whole span of S, and injective; for groups of equal order it is
+    therefore an isomorphism, and it is returned unchecked.
     """
-    _require_closed(a, b)
+    for table in (a, b):
+        validate_group(table).require(InvalidGroup, "not a group")
     if len(a.elements) != len(b.elements):
         return None
     order_a = {x: element_order(a, x) for x in a.elements}
@@ -484,9 +484,7 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
     if sorted(order_a.values()) != sorted(order_b.values()):
         return None
     (elems_a, _, rows_a, _, e_a), (elems_b, _, rows_b, _, e_b) = _rows(a), _rows(b)
-    generators = _table_generators(_rows(a), range(len(rows_a)))
-    if len(generators) > len(elems_a).bit_length():  # more than a group needs
-        generators = []  # a is not a group: phi stays short
+    generators = _associative_generators(a)
     choices = [[j for j, y in enumerate(elems_b) if order_b[y] == order_a[elems_a[g]]]
                for g in generators]
 
@@ -506,8 +504,8 @@ def find_isomorphism(a: GroupTable, b: GroupTable) -> dict[str, str] | None:
             return phi
         return next(filter(None, (search(images + [t]) for t in choices[len(images)])), None)
 
-    f = {elems_a[i]: elems_b[j] for i, j in (search([]) or {}).items()}
-    return f if len(f) == len(elems_a) and is_group_hom(f, a, b) else None
+    phi = search([])
+    return None if phi is None else {elems_a[i]: elems_b[j] for i, j in phi.items()}
 
 
 def trivial_group(token: str = "e") -> GroupTable:

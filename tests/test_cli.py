@@ -8,6 +8,7 @@ import pytest
 from groupoids import (
     Morphism,
     cyclic_group,
+    direct_product_groups,
     emit_structure_file,
     group_pair_groupoid,
     parse_structure_file,
@@ -153,6 +154,113 @@ def test_construct_product(tmp_path, capsys):
     broken.write_text(emit_structure_file(replace(g, inv={**g.inv, "(u|v)": "(u|u)"})))
     assert run_command(["construct", "product", str(good), str(broken)]) == 2
     assert "factors must be valid groupoids" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def files(tmp_path):
+    """Paths to a pair groupoid on a, b, a null groupoid on u, v, the groups
+    Z_2 and Z_3, and an identity morphism file of group-pair Z_2."""
+    paths = {name: str(tmp_path / name)
+             for name in ("pair.gpd", "null.gpd", "z2.grp", "z3.grp", "pairZ2.gpd", "id.mor")}
+    for name, argv in (("pair.gpd", ["pair", "--objects", "a", "b"]),
+                       ("null.gpd", ["null", "--objects", "u", "v"]),
+                       ("z2.grp", ["group", "--group", "cyclic:2"]),
+                       ("z3.grp", ["group", "--group", "cyclic:3"]),
+                       ("pairZ2.gpd", ["group-pair", "--group", "cyclic:2"])):
+        assert run_command(["construct", *argv, "--output", paths[name]]) == 0
+    g = group_pair_groupoid(cyclic_group(2)).base
+    identity = Morphism(g, g, {x: x for x in g.arrows}, {u: u for u in g.objects})
+    with open(paths["id.mor"], "w", encoding="utf-8") as handle:
+        handle.write(emit_structure_file(identity, from_path="pairZ2.gpd", to_path="pairZ2.gpd"))
+    return paths
+
+
+def _ran(capsys, *argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run."""
+    code = run_command(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("name", ["pair.gpd", "z2.grp"])
+def test_validate_a_groupoid_file_and_a_group_file(name, files, capsys):
+    assert _ran(capsys, "validate", files[name]) == (0, "PASS\n", "")
+
+
+def test_identities_on_a_groupoid_file(files, capsys):
+    # the groupoid branch of the gate: validate_groupoid, then structure_identities
+    assert _ran(capsys, "identities", files["null.gpd"]) == (
+        0, "PASS\nnote isotropy-isomorphic [not-applicable]: groupoid is not transitive\n", "")
+
+
+def test_construct_null_from_objects(capsys):
+    assert _ran(capsys, "construct", "null", "--objects", "u", "v") == (0, (
+        "kind: groupoid\nobjects: u v\narrows: u v\nsource: u=u v=v\ntarget: u=u v=v\n"
+        "unit: u=u v=v\ninverse: u=u v=v\nproduct: u.u=u v.v=v\n"), "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["null", "--objects", "u", "--group", "cyclic:2"],
+     "construct null takes --objects or --group, not both"),
+    (["null"], "construct null needs --objects or --group"),
+    (["single-unit"], "construct single-unit needs --group"),
+], ids=["null-both", "null-neither", "single-unit-no-group"])
+def test_construct_usage_errors(argv, message, capsys):
+    assert _ran(capsys, "construct", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_construct_product_of_two_group_files(files, capsys):
+    product = emit_structure_file(direct_product_groups(cyclic_group(2), cyclic_group(3)))
+    assert _ran(capsys, "construct", "product", files["z2.grp"], files["z3.grp"]) == (
+        0, product, "")
+
+
+@pytest.mark.parametrize("left, right, message", [
+    ("pair.gpd", "z2.grp", "cannot multiply kind groupoid by kind group"),
+    ("id.mor", "id.mor", "construct product takes groupoid, group_groupoid or group files"),
+], ids=["two-kinds", "two-morphisms"])
+def test_construct_product_refuses_its_files(left, right, message, files, capsys):
+    assert _ran(capsys, "construct", "product", files[left], files[right]) == (
+        2, "", f"error: {message}\n")
+
+
+def test_sub_on_a_groupoid_file(files, capsys):
+    assert _ran(capsys, "sub", files["pair.gpd"], "--arrows", "(a|b)", "--objects", "a") == (
+        1, "FAIL\ninverse-closed: 1 violation(s)\n  at ((a|b)): inverse (b|a) escapes the subset\n"
+        "target-image: 2 violation(s)\n  at (a): object is not an endpoint of any chosen arrow\n"
+        "  at (b): an arrow's endpoint falls outside the object subset\n", "")
+
+
+def test_isotropy_bundle_in_machine_format(files, capsys):
+    out = json.dumps({"arrows": ["(0|0)", "(1|1)"], "objects": ["0", "1"]}, indent=2) + "\n"
+    assert _ran(capsys, "isotropy", files["pairZ2.gpd"], "--bundle", "--format", "machine") == (
+        0, out, "")
+
+
+def test_affine_quad_in_machine_format(capsys):
+    quad = {
+        "degenerate": False,
+        "diagonal_midpoints": ["(5/2, 0)", "(5/2, 0)"],
+        "kind": "B",
+        "parallelogram": True,
+        "points": {"B1": "(3, 0)", "B2": "(1, 1)", "B3": "(2, 0)", "B4": "(4, -1)"},
+        "side_labels": ["B1B2", "B3B4"],
+        "slopes": ["-1/2", "-1/2"],
+        "squared_lengths": ["5", "5"],
+    }
+    out = json.dumps(quad, indent=2) + "\n"
+    assert _ran(capsys, "affine", "quad", "--kind", "B", "--params", "1", "1",
+                "--format", "machine") == (0, out, "")
+
+
+def test_the_trivial_spec(capsys):
+    assert _ran(capsys, "construct", "group", "--group", "trivial") == (
+        0, "kind: group\nelements: e\nop: e.e=e\nid: e\ninv: e=e\n", "")
+
+
+def test_cyclic_zero_is_a_bad_spec(capsys):
+    assert _ran(capsys, "construct", "group", "--group", "cyclic:0") == (
+        2, "", "error: bad group spec 'cyclic:0'\n")
 
 
 def test_construct_rejects_noncommutative_single_unit(capsys):
@@ -354,3 +462,12 @@ def test_the_file_checks_skip_affine_construct_and_sub(argv, pair_z2_file):
     assert "groupoids.fileformat" in loaded
     assert not loaded & {"groupoids.affine", "groupoids.construct", "groupoids.sub",
                          "fractions"}
+
+
+@pytest.mark.parametrize("argv", [["anchor"], ["isotropy", "--bundle"]],
+                         ids=["anchor", "isotropy-bundle"])
+def test_the_anchor_and_the_bundle_skip_affine_and_construct(argv, pair_z2_file):
+    # the anchor builds its pair groupoid target from core, not from construct
+    loaded = _loaded_modules([argv[0], pair_z2_file, *argv[1:]])
+    assert "groupoids.sub" in loaded
+    assert not loaded & {"groupoids.affine", "groupoids.construct", "fractions"}

@@ -43,6 +43,12 @@ def test_null_groupoid_counts():
         null_groupoid([])
 
 
+def test_pair_groupoid_needs_an_object():
+    with pytest.raises(EmptySet) as err:
+        pair_groupoid([])
+    assert str(err.value) == "pair groupoid needs at least one object"
+
+
 def test_pair_groupoids_small_sizes():
     for n in range(1, 6):
         objs = [f"o{i}" for i in range(n)]
@@ -150,7 +156,7 @@ def test_constructors_reject_broken_tables(monkeypatch):
 
 def test_constructors_check_their_output_in_def32_only(monkeypatch):
     # a constructor runs no checker on what it built, in either definition:
-    # only a product validates its two input factors
+    # only a product validates its two input factors, and the anchor its input
     def refuse(gg):
         raise AssertionError("a constructor ran def31")
 
@@ -179,7 +185,7 @@ def test_constructors_check_their_output_in_def32_only(monkeypatch):
     pair = group_pair_groupoid(z2)
     assert checks(lambda: direct_product_groupoids(pair.base, pair.base)) == 2
     assert checks(lambda: direct_product_group_groupoids(pair, null_group_groupoid(z2))) == 2
-    assert checks(lambda: anchor_morphism(pair)) == 0
+    assert checks(lambda: anchor_morphism(pair)) == 1
 
 
 def test_constructors_check_their_input_table_once_up_front(monkeypatch):

@@ -249,6 +249,26 @@ def test_wellformedness_is_an_error_not_a_report():
         validate_groupoid(rebuild(g, tgt={**g.tgt, "(a|b)": "zzz"}))
 
 
+@pytest.mark.parametrize("field, entry, message", [
+    ("src", ("(a|b)", "zz"), "src has a value outside the object set"),
+    ("inv", ("(a|b)", "zz"), "inv has a value outside the arrow set"),
+    ("unit", ("a", "zz"), "unit has a value outside the arrow set"),
+    ("prod", (("(a|b)", "zz"), "(a|b)"), "prod entry ((a|b),zz)=(a|b) uses an undeclared arrow"),
+], ids=["src", "inv", "unit", "prod"])
+def test_a_value_outside_its_carrier_is_malformed(field, entry, message):
+    g = pair_groupoid(["a", "b"])
+    key, value = entry
+    with pytest.raises(MalformedStructure) as err:
+        rebuild(g, **{field: {**getattr(g, field), key: value}})
+    assert str(err.value) == message
+
+
+def test_conjugation_along_an_unknown_arrow_is_refused():
+    with pytest.raises(UnknownArrow) as err:
+        conjugation_iso(pair_groupoid(["a", "b"]), "zz")
+    assert str(err.value) == "unknown arrow 'zz'"
+
+
 @pytest.mark.parametrize(
     "bad", ["", "a b", "a#b", "a=b", "a.b", "a|b", "(a|b", "(a)", "x(a|b)", "(a|b)(c|d)"]
 )

@@ -248,6 +248,14 @@ def test_load_morphism_rejects_group_endpoints(tmp_path):
         load_morphism(str(tmp_path / "m.gpd"))
 
 
+def test_load_morphism_refuses_a_file_of_another_kind(tmp_path):
+    path = tmp_path / "g.gpd"
+    path.write_text(emit_structure_file(pair_groupoid(["a"])), encoding="utf-8")
+    with pytest.raises(InvalidInput) as err:
+        load_morphism(str(path))
+    assert str(err.value) == f"{path} is not a morphism file"
+
+
 def test_load_structure_file(tmp_path):
     path = tmp_path / "g.gpd"
     path.write_text(MINIMAL, encoding="utf-8")

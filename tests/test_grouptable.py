@@ -293,6 +293,12 @@ def test_cyclic_group_rejects_nonpositive():
         cyclic_group(0)
 
 
+def test_symmetric_group_rejects_nonpositive():
+    with pytest.raises(EmptySet) as err:
+        symmetric_group(0)
+    assert str(err.value) == "symmetric group needs n >= 1"
+
+
 def test_light_test_rejects_a_closed_nonassociative_table(nonassociative_table):
     t = nonassociative_table
     assert _associative_generators(t) == ()
@@ -393,3 +399,15 @@ def test_a_table_with_a_product_outside_its_elements_is_refused_as_no_group(call
     bad = GroupTable(z3.elements, {**z3.op, ("1", "1"): "zz"}, "0", z3.inverse)
     with pytest.raises(InvalidGroup, match=re.escape("not a group: closure at 1,1,zz")):
         call(z3, bad)
+
+
+@pytest.mark.parametrize("first", ["bad", "z3"])
+def test_find_isomorphism_refuses_a_closed_table_that_is_not_a_group(first):
+    # the search returns its map unchecked, which the theorem allows for
+    # groups only, so validate_group gates both tables
+    z3 = cyclic_group(3)
+    bad = GroupTable(z3.elements, {**z3.op, ("1", "1"): "0"}, "0", z3.inverse)
+    tables = {"bad": bad, "z3": z3}
+    with pytest.raises(InvalidGroup) as err:
+        find_isomorphism(tables[first], bad)
+    assert str(err.value) == "not a group: associativity at 1,1,2"

@@ -14,6 +14,7 @@ from groupoids import (
     MalformedStructure,
     Morphism,
     Note,
+    ReportBuilder,
     check_derived_identities,
     check_group_groupoid,
     check_interchange,
@@ -213,6 +214,27 @@ def test_wellformedness_mismatch_is_an_error():
     gg = group_pair_groupoid(cyclic_group(2))
     with pytest.raises(MalformedStructure):
         structural_report(GroupGroupoid(gg.base, cyclic_group(4), gg.object_group))
+
+
+def test_an_object_table_over_the_wrong_set_is_malformed():
+    gg = group_pair_groupoid(cyclic_group(2))
+    with pytest.raises(MalformedStructure) as err:
+        GroupGroupoid(gg.base, gg.arrow_group, cyclic_group(3))
+    assert str(err.value) == "object group must be defined on exactly the object set"
+
+
+def test_mode_both_raises_when_the_definitions_disagree(monkeypatch):
+    # the two procedures provably agree, so only a broken section can split
+    # them: def32 made to fail on valid input
+    def failing(gg, structure_valid):
+        rb = ReportBuilder()
+        rb.violation("interchange", ("x",), "forced")
+        return rb.build()
+
+    monkeypatch.setattr(overlay, "_def32_report", failing)
+    with pytest.raises(InternalCheckFailed) as err:
+        check_group_groupoid(group_pair_groupoid(cyclic_group(2)), mode="both")
+    assert str(err.value) == "the two decision procedures disagree: def31=pass def32=fail"
 
 
 def test_derived_identities_on_commutative_member():

@@ -3,7 +3,7 @@ import pytest
 from groupoids import (
     GroupGroupoid,
     GroupTable,
-    InvalidGroup,
+    InternalCheckFailed,
     MalformedStructure,
     NotSubset,
     SubStructure,
@@ -145,13 +145,29 @@ def test_anchor_morphism_on_group_pair_is_identity_shaped():
     assert validate_gg_morphism(m, gg, group_pair_groupoid(gg.object_group)).valid
 
 
+def test_an_arrow_with_an_endpoint_outside_the_object_subset_is_reported():
+    g = pair_groupoid(["a", "b"])
+    report = check_subgroupoid(g, SubStructure(frozenset({"(a|a)", "(b|b)"}), frozenset({"a"})))
+    assert [(v.rule, v.witness, v.message) for v in report.violations] == [
+        ("source-image", ("b",), "an arrow's endpoint falls outside the object subset"),
+        ("target-image", ("b",), "an arrow's endpoint falls outside the object subset"),
+    ]
+
+
+def test_anchor_refuses_a_structure_that_fails_def32(s3_control):
+    # single-unit S_3: src and tgt are additive, but interchange fails
+    with pytest.raises(InternalCheckFailed) as err:
+        anchor_morphism(s3_control)
+    assert str(err.value) == "invalid group-groupoid: def32:interchange at 012,021,102,012"
+
+
 def test_anchor_names_the_broken_entry_of_the_object_table():
     gg = group_pair_groupoid(cyclic_group(3))
     o = gg.object_group
     broken = GroupTable(o.elements, {**o.op, ("0", "2"): "zz"}, o.identity, o.inverse)
-    with pytest.raises(InvalidGroup) as err:
+    with pytest.raises(InternalCheckFailed) as err:
         anchor_morphism(GroupGroupoid(gg.base, gg.arrow_group, broken))
-    assert str(err.value) == "not a group: closure at 0,2,zz"
+    assert str(err.value) == "invalid group-groupoid: object-group:closure at 0,2,zz"
 
 
 def test_a_table_over_the_wrong_set_is_malformed_not_a_key_error():

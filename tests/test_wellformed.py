@@ -104,9 +104,8 @@ def test_the_anchor_checks_only_the_target_it_builds(shape_checks):
     gg = null_group_groupoid(symmetric_group(3))
     shape_checks.update(groupoid=0, table=0)
     anchor_morphism(gg)
-    # the pair groupoid on the object group; its product group is well formed
-    # by construction, and the source structure and the tables it shares are
-    # not checked again
+    # the pair groupoid on the object group, its target; the source structure
+    # and its tables, which the def32 gate reads, are not checked again
     assert shape_checks == {"groupoid": 1, "table": 0}
 
 
